@@ -4,7 +4,7 @@ oracle, the verification suite, and external family checking.
 Exit codes: 0 success / all checks pass, 1 a property or expected-value
 violation was found, 2 usage error, 3 resource cap exceeded.  Every JSON
 report embeds the tool version and the fully resolved configuration, and
-is deterministic given the flags (and seed) except for elapsed fields.
+is deterministic given the flags except for elapsed fields.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def cmd_oracle(args) -> int:
     dim = make_dim(args.d)
     g = build_graph(dim, FDSC)
     result = exact_structure_connectivity(g, args.m, args.mode, args.budget)
-    result.seed = args.seed
     expected = reference_value(args.d, args.m, args.mode)
     consistent = True
     if expected is not None:
@@ -147,7 +146,6 @@ def cmd_oracle(args) -> int:
         "m": args.m,
         "mode": args.mode,
         "budget": args.budget,
-        "seed": args.seed,
     }
     payload["expected"] = expected
     payload["consistent"] = consistent
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=[STRUCTURE, SUBSTRUCTURE], default=STRUCTURE)
     p.add_argument("--budget", type=int, required=True, help="largest family size to search")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

@@ -120,52 +120,80 @@ def is_connected(g: Graph) -> bool:
     return components_after_removal(g, ()).component_count == 1
 
 
-def _min_vertex_cut_size(g: Graph, s: int, t: int) -> int:
-    """Maximum number of internally vertex-disjoint s-t paths (s, t not
-    adjacent), via unit-capacity flow on the split digraph.
+@dataclass
+class _SplitNetwork:
+    """The split digraph of a graph in flat arrays, for unit-capacity flow.
 
-    Nodes 2v (in) and 2v+1 (out); v_in->v_out carries capacity 1, edges
-    u_out->v_in are uncapped.  Augment with BFS until no path remains.
+    Vertex v becomes an in-node 2v and an out-node 2v+1 joined by one arc
+    of capacity 1; each edge {u, v} becomes the uncapped arcs u_out->v_in
+    and v_out->u_in.  Arc e ends at ``head[e]`` with base capacity
+    ``cap[e]``; its residual reverse is arc ``e ^ 1``.  ``out[a]`` lists the
+    indices of every arc leaving node a, reverse arcs included.
     """
+
+    head: list[int]
+    cap: list[int]
+    out: list[list[int]]
+
+
+def _split_network(g: Graph) -> _SplitNetwork:
     n = g.vertex_count
-    cap: dict[tuple[int, int], int] = {}
-    arcs: list[list[int]] = [[] for _ in range(2 * n)]
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(2 * n)]
 
     def add_arc(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            arcs[a].append(b)
-            arcs[b].append(a)
-            cap[(a, b)] = 0
-            cap[(b, a)] = 0
-        cap[(a, b)] += c
+        out[a].append(len(head))
+        head.append(b)
+        cap.append(c)
+        out[b].append(len(head))
+        head.append(a)
+        cap.append(0)
 
-    big = g.vertex_count  # effectively infinite for unit vertex capacities
+    big = n  # effectively infinite for unit vertex capacities
     for v in range(n):
         add_arc(2 * v, 2 * v + 1, 1)
     for u, v in g.edges():
         add_arc(2 * u + 1, 2 * v, big)
         add_arc(2 * v + 1, 2 * u, big)
+    return _SplitNetwork(head=head, cap=cap, out=out)
 
+
+def _min_vertex_cut_size(net: _SplitNetwork, s: int, t: int, limit: int) -> int:
+    """min(limit, maximum number of internally vertex-disjoint s-t paths)
+    for non-adjacent s and t, by unit-capacity flow on ``net``.
+
+    Augments along BFS paths from s_out to t_in on a fresh copy of the base
+    capacities, and stops as soon as the flow reaches ``limit``.
+    """
+    head, out = net.head, net.out
+    cap = net.cap[:]
     source, sink = 2 * s + 1, 2 * t
+    nodes = len(out)
     flow = 0
-    while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            a = queue.popleft()
-            for b in arcs[a]:
-                if b not in parent and cap[(a, b)] > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if sink not in parent:
+    while flow < limit:
+        via = [-1] * nodes  # arc through which BFS reached each node
+        via[source] = len(head)  # reached, through no arc
+        queue = [source]
+        for a in queue:
+            for e in out[a]:
+                if cap[e]:
+                    b = head[e]
+                    if via[b] < 0:
+                        via[b] = e
+                        queue.append(b)
+            if via[sink] >= 0:
+                break
+        else:
             return flow
         b = sink
         while b != source:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+            e = via[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
         flow += 1
+    return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -179,6 +207,14 @@ def vertex_connectivity(g: Graph) -> int:
     whenever any non-neighbor exists; for complete graphs the candidate
     list is empty and the answer is |V| - 1.
 
+    The split network is built once and every flow runs on a fresh copy of
+    its capacities.  Each flow stops once it reaches the current best, so
+    it returns min(best, flow) rather than the flow itself.  That loses
+    nothing: best starts at deg(v0), which is already a cut, and only
+    decreases, so min(best, min(best, flow)) = min(best, flow) at every
+    step and the final minimum is unchanged.  At kappa = deg(v0) this
+    skips the last, failing whole-graph BFS of every flow.
+
     Returns 0 for a disconnected graph.
     """
     if not is_connected(g):
@@ -191,12 +227,13 @@ def vertex_connectivity(g: Graph) -> int:
     non_neighbors = [t for t in range(g.vertex_count) if t != v0 and t not in nbr_set]
     if not non_neighbors:
         return g.vertex_count - 1
+    net = _split_network(g)
     best = g.degree(v0)
     for t in non_neighbors:
-        best = min(best, _min_vertex_cut_size(g, v0, t))
+        best = _min_vertex_cut_size(net, v0, t, best)
     for x, y in itertools.combinations(nbrs, 2):
         if not g.has_edge(x, y):
-            best = min(best, _min_vertex_cut_size(g, x, y))
+            best = _min_vertex_cut_size(net, x, y, best)
     return best
 
 

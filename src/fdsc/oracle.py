@@ -107,7 +107,6 @@ class OracleResult:
     pruned: int
     connectivity_checks: int
     elapsed_ms: int
-    seed: int | None = None
     notes: dict = field(default_factory=dict)
 
     def to_json(self, dim) -> dict:
@@ -125,7 +124,6 @@ class OracleResult:
             "examined": self.examined,
             "pruned": self.pruned,
             "connectivity_checks": self.connectivity_checks,
-            "seed": self.seed,
             "elapsed_ms": self.elapsed_ms,
             "notes": self.notes,
         }

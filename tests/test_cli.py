@@ -120,6 +120,20 @@ class TestOracle:
         a.pop("elapsed_ms"), b.pop("elapsed_ms")
         assert a == b
 
+    def test_report_has_no_seed(self, capsys):
+        _, obj, _ = run_json(
+            capsys, "oracle", "--d", "2", "--m", "2", "--mode", "structure",
+            "--budget", "3",
+        )
+        assert list(obj) == [
+            "n", "d", "m", "mode", "value", "lower_bound", "certificate",
+            "candidates", "examined", "pruned", "connectivity_checks",
+            "elapsed_ms", "notes", "version", "config", "expected", "consistent",
+        ]
+        assert obj["config"] == {
+            "command": "oracle", "d": 2, "m": 2, "mode": "structure", "budget": 3,
+        }
+
 
 class TestLemmas:
     def test_d3_passes(self, capsys):

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsc import (
     DSC,
@@ -16,6 +20,7 @@ from fdsc import (
     quotient_census,
     vertex_connectivity,
 )
+from fdsc.graph import _min_vertex_cut_size, _split_network
 from refimpl import all_labels, ref_neighbors
 
 D2, D3 = make_dim(2), make_dim(3)
@@ -90,8 +95,6 @@ class TestComponents:
 def brute_force_connectivity(g):
     """Independent route: smallest vertex subset whose removal disconnects
     or trivializes, by exhaustive subset enumeration."""
-    import itertools
-
     for size in range(g.vertex_count):
         for removed in itertools.combinations(range(g.vertex_count), size):
             census = components_after_removal(g, removed)
@@ -118,6 +121,76 @@ class TestConnectivity:
     def test_disconnected_returns_zero(self):
         g = Graph(dim=make_dim(1), variant=FDSC, adj=[[1], [0], [3], [2]])
         assert vertex_connectivity(g) == 0
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # Two K_4 sharing vertex 3: the hub 0 reaches the cut through
+            # its flow to a non-neighbor (case a).
+            [*itertools.combinations(range(4), 2), *itertools.combinations(range(3, 7), 2)],
+            # Two K_5 joined only through vertex 0, adjacent to two vertices
+            # of each: the only minimum separator is {0}, the hub itself, so
+            # only the neighbor-pair flows (case b) find it.
+            [
+                *itertools.combinations(range(1, 6), 2),
+                *itertools.combinations(range(6, 11), 2),
+                (0, 1), (0, 2), (0, 6), (0, 7),
+            ],
+        ],
+        ids=["cut-vertex-off-hub", "cut-vertex-is-hub"],
+    )
+    def test_cut_below_min_degree(self, edges):
+        g = _graph(1 + max(max(e) for e in edges), edges)
+        assert min(map(g.degree, range(g.vertex_count))) > 1
+        assert vertex_connectivity(g) == brute_force_connectivity(g) == 1
+
+    def test_flow_stops_at_limit(self, fdsc8):
+        net = _split_network(fdsc8)
+        t = next(v for v in range(1, fdsc8.vertex_count) if not fdsc8.has_edge(0, v))
+        assert _min_vertex_cut_size(net, 0, t, 2) == 2
+        assert _min_vertex_cut_size(net, 0, t, fdsc8.vertex_count) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flow_matches_subset_enumeration(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        pairs = list(itertools.combinations(range(n), 2))
+        present = data.draw(
+            st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="edges"
+        )
+        g = _graph(n, [e for e, keep in zip(pairs, present) if keep])
+        assert vertex_connectivity(g) == brute_force_connectivity(g)
+        net = _split_network(g)
+        for s, t in pairs:
+            if g.has_edge(s, t):
+                continue
+            separator = _min_separator_size(g, s, t)
+            for limit in range(n):
+                assert _min_vertex_cut_size(net, s, t, limit) == min(limit, separator)
+
+
+def _graph(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(dim=make_dim(1), variant=FDSC, adj=[sorted(a) for a in adj])
+
+
+def _min_separator_size(g, s, t):
+    """Fewest vertices other than s and t whose removal leaves no s-t path,
+    by subset enumeration in order of size."""
+    others = [v for v in range(g.vertex_count) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for removed in itertools.combinations(others, size):
+            reached, stack = {s}, [s]
+            while stack:
+                for v in g.adj[stack.pop()]:
+                    if v not in reached and v not in removed:
+                        reached.add(v)
+                        stack.append(v)
+            if t not in reached:
+                return size
 
 
 class TestGirth:
