@@ -24,14 +24,18 @@ them computationally for the exact dimension in use (interior adjacency of
 every module equals the mapped template adjacency, every vertex has exactly
 one cross edge, the module quotient is complete, the template is connected)
 and raises if any fails.  Given those, ``connected`` is exact whenever at
-least one module is intact; otherwise it returns None and the caller must
-fall back to a plain component search.
+least one module is intact; otherwise it returns None.
+
+``SurvivorCheck`` is the one "is the survivor graph connected" entry point
+that the oracle's sweeps and probes call: it decides when the checker
+applies (FDSC_n with n >= 8) and falls back to a plain component census
+whenever the checker cannot decide.
 """
 
 from __future__ import annotations
 
 from .errors import ParameterError
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, build_graph, components_after_removal, is_connected
 from .labels import FDSC, Dim, external_neighbor, make_dim, neighbor_labels
 
 _CACHE_SOFT_CAP = 200_000
@@ -54,6 +58,10 @@ class ModularChecker:
             e = external_neighbor(v, dim)
             self.ext_module[v] = e & self.module_mask
             self.ext_inner[v] = e >> self.half
+        # vertex -> (module, its bit in that module's inner mask); one int
+        # per inner label, shared by every module
+        bits = [1 << x for x in range(self.module_count)]
+        self.module_bit = [(v & self.module_mask, bits[v >> self.half]) for v in range(size)]
         self._verify_decomposition()
         # removed-inner-mask -> tuple of components (tuples of inner labels)
         self._comp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -124,10 +132,10 @@ class ModularChecker:
         Returns None when no module is intact (caller must fall back).
         """
         touched: dict[int, int] = {}
-        half, mask = self.half, self.module_mask
+        module_bit = self.module_bit
         for v in removed:
-            b = v & mask
-            touched[b] = touched.get(b, 0) | (1 << (v >> half))
+            b, bit = module_bit[v]
+            touched[b] = touched.get(b, 0) | bit
         return self.connected_grouped(touched)
 
     def connected_grouped(self, touched: dict[int, int]) -> bool | None:
@@ -185,3 +193,37 @@ class ModularChecker:
                             break
         root = find(0)
         return all(find(i) == root for i in range(1, len(parent)))
+
+
+class SurvivorCheck:
+    """Is the graph minus a vertex set still connected?
+
+    Built once per graph.  ``connected(removed)`` is true iff at least two
+    vertices survive and they form one component; ``removed`` may repeat
+    vertices.  The module-decomposition checker answers when it applies
+    (``use_modular`` defaults to FDSC_n with n >= 8) and can decide; a plain
+    component census answers otherwise.  ``use_modular=False`` forces the
+    plain route, the reference the fast one is tested against.
+    """
+
+    def __init__(self, g: Graph, use_modular=None):
+        if use_modular is None:
+            use_modular = g.variant == FDSC and g.dim.n >= 8
+        if use_modular and g.variant != FDSC:
+            raise ParameterError("module-decomposition checker models the fdsc variant only")
+        self.g = g
+        self.checker = ModularChecker(g.dim) if use_modular else None
+        self.method = (
+            "module-decomposition checker (preconditions verified at "
+            "construction), plain search fallback"
+            if self.checker is not None
+            else "plain component search"
+        )
+
+    def connected(self, removed) -> bool:
+        if self.checker is not None:
+            verdict = self.checker.connected(removed)
+            if verdict is not None:
+                return verdict
+        census = components_after_removal(self.g, removed)
+        return census.component_count == 1 and census.surviving > 1

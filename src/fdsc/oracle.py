@@ -18,6 +18,11 @@ the result so a reviewer can audit the exhaustiveness argument:
 
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
+
+Every survivor question here (the family sweeps, the sampled removal check
+and both probe modes) goes through one entry point,
+``modcheck.SurvivorCheck``, which owns the rule for when the checker
+applies and the census fallback.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .cuts import (
 from .errors import ParameterError
 from .graph import Graph, components_after_removal, vertex_connectivity
 from .labels import FDSC, format_label
-from .modcheck import ModularChecker
+from .modcheck import SurvivorCheck
 
 GENERATOR_ID = "python-random-mt19937"
 
@@ -95,10 +100,8 @@ def enumerate_candidates(g: Graph, m: int, mode: str) -> list[Star]:
 class OracleResult:
     dim_d: int
     dim_n: int
-    variant: str
     pattern_m: int
     mode: str
-    size_budget: int
     value: int | None
     proven_lower_bound: int
     certificate: FaultFamily | None
@@ -138,19 +141,10 @@ class _FamilySearch:
     """
 
     def __init__(self, g: Graph, vertex_sets: list[tuple[int, ...]], use_modular=None):
-        self.g = g
         self.vertex_sets = vertex_sets
         self.masks = [self._mask(vs) for vs in vertex_sets]
         self.kappa = vertex_connectivity(g)
-        if use_modular is None:
-            use_modular = g.variant == FDSC and g.dim.n >= 8
-        self.checker = ModularChecker(g.dim) if use_modular else None
-        if self.checker is not None:
-            half = g.dim.half
-            mask = g.dim.module_mask
-            self.grouped = [
-                tuple((v & mask, 1 << (v >> half)) for v in vs) for vs in vertex_sets
-            ]
+        self.survivors = SurvivorCheck(g, use_modular)
         self.examined = 0
         self.pruned = 0
         self.checks = 0
@@ -162,51 +156,35 @@ class _FamilySearch:
             m |= 1 << v
         return m
 
-    def _disconnects(self, combo: tuple[int, ...], union_size: int) -> bool:
-        self.checks += 1
-        if self.g.vertex_count - union_size <= 1:
-            return True
-        if self.checker is not None:
-            touched: dict[int, int] = {}
-            grouped = self.grouped
-            for i in combo:
-                for mod, bit in grouped[i]:
-                    prev = touched.get(mod)
-                    touched[mod] = bit if prev is None else prev | bit
-            verdict = self.checker.connected_grouped(touched)
-            if verdict is not None:
-                return not verdict
-        removed: set[int] = set()
-        for i in combo:
-            removed.update(self.vertex_sets[i])
-        census = components_after_removal(self.g, removed)
-        return census.component_count >= 2 or census.surviving <= 1
-
     def sweep(self, t: int) -> tuple[int, ...] | None:
         """First size-t subset (by index order) that disconnects, or None."""
         masks = self.masks
-        count = len(masks)
-        kappa = self.kappa
-        examined = 0
-        pruned = 0
-        if t == 0 or count < t:
+        if t == 0 or len(masks) < t:
             return None
-        for combo in itertools.combinations(range(count), t):
+        vertex_sets = self.vertex_sets
+        connected = self.survivors.connected
+        kappa = self.kappa
+        examined = pruned = checks = 0
+        hit = None
+        for combo in itertools.combinations(range(len(masks)), t):
             examined += 1
             union = 0
             for i in combo:
                 union |= masks[i]
-            size = union.bit_count()
-            if size < kappa:
+            if union.bit_count() < kappa:
                 pruned += 1
                 continue
-            if self._disconnects(combo, size):
-                self.examined += examined
-                self.pruned += pruned
-                return combo
+            checks += 1
+            removed = []
+            for i in combo:
+                removed += vertex_sets[i]
+            if not connected(removed):
+                hit = combo
+                break
         self.examined += examined
         self.pruned += pruned
-        return None
+        self.checks += checks
+        return hit
 
     def notes(self) -> dict:
         return {
@@ -215,12 +193,7 @@ class _FamilySearch:
                 f"vertex connectivity ({self.kappa}, computed by flow) cannot "
                 "disconnect and are skipped"
             ),
-            "connectivity_method": (
-                "module-decomposition checker (preconditions verified at "
-                "construction), plain search fallback"
-                if self.checker is not None
-                else "plain component search"
-            ),
+            "connectivity_method": self.survivors.method,
         }
 
 
@@ -266,10 +239,8 @@ def exact_structure_connectivity(
     return OracleResult(
         dim_d=g.dim.d,
         dim_n=g.dim.n,
-        variant=g.variant,
         pattern_m=m,
         mode=mode,
-        size_budget=size_budget,
         value=value,
         proven_lower_bound=lower,
         certificate=certificate,
@@ -380,65 +351,43 @@ def check_vertex_edge_removals(
                     )
                 )
                 break  # one verbatim counterexample is the finding
-        report = RemovalCheckReport(
-            dim_d=g.dim.d,
-            dim_n=g.dim.n,
-            budget=budget,
-            mode="exhaustive",
-            checked=search.examined,
-            pruned=search.pruned,
-            disconnections=disconnections,
-            seed=None,
-            generator=None,
-            elapsed_ms=int((time.perf_counter() - start) * 1000),
-            notes=search.notes(),
-        )
-        return report
-
-    if budget_mode != "sample":
-        raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
-    if sample_count < 1:
-        raise ParameterError("sample mode needs sample_count >= 1")
-    rng = random.Random(seed)
-    checker = ModularChecker(g.dim) if g.dim.n >= 8 else None
-    checked = 0
-    for _ in range(sample_count):
-        vertex_count = rng.randint(0, budget)
-        edge_count = budget - vertex_count
-        vertices = tuple(sorted(rng.sample(range(g.vertex_count), vertex_count)))
-        edges = tuple(sorted(edge_list[i] for i in rng.sample(range(len(edge_list)), edge_count)))
-        spec = RemovalSpec(vertices, edges)
-        removed = spec.removed()
-        checked += 1
-        verdict = checker.connected(removed) if checker is not None else None
-        if verdict is None:
-            census = components_after_removal(g, removed)
-            verdict = census.component_count == 1 and census.surviving > 1
-        if not verdict:
-            disconnections.append(spec)
-    return RemovalCheckReport(
-        dim_d=g.dim.d,
-        dim_n=g.dim.n,
-        budget=budget,
-        mode="sample",
-        checked=checked,
-        pruned=0,
-        disconnections=disconnections,
-        seed=seed,
-        generator=GENERATOR_ID,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-        notes={
+        checked, pruned, notes = search.examined, search.pruned, search.notes()
+        seed, generator = None, None
+    elif budget_mode == "sample":
+        if sample_count < 1:
+            raise ParameterError("sample mode needs sample_count >= 1")
+        rng = random.Random(seed)
+        survivors = SurvivorCheck(g)
+        for _ in range(sample_count):
+            vertex_count = rng.randint(0, budget)
+            edge_count = budget - vertex_count
+            vertices = tuple(sorted(rng.sample(range(g.vertex_count), vertex_count)))
+            edges = tuple(sorted(edge_list[i] for i in rng.sample(range(len(edge_list)), edge_count)))
+            spec = RemovalSpec(vertices, edges)
+            if not survivors.connected(spec.removed()):
+                disconnections.append(spec)
+        checked, pruned, generator = sample_count, 0, GENERATOR_ID
+        notes = {
             "sampling": (
                 "element count fixed at the budget; vertex/edge split and "
                 "members drawn uniformly with the seeded generator"
             ),
-            "connectivity_method": (
-                "module-decomposition checker (preconditions verified at "
-                "construction), plain search fallback"
-                if checker is not None
-                else "plain component search"
-            ),
-        },
+            "connectivity_method": survivors.method,
+        }
+    else:
+        raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
+    return RemovalCheckReport(
+        dim_d=g.dim.d,
+        dim_n=g.dim.n,
+        budget=budget,
+        mode=budget_mode,
+        checked=checked,
+        pruned=pruned,
+        disconnections=disconnections,
+        seed=seed,
+        generator=generator,
+        elapsed_ms=int((time.perf_counter() - start) * 1000),
+        notes=notes,
     )
 
 
@@ -491,61 +440,45 @@ def super_cut_probe(
     """
     start = time.perf_counter()
     limit = 2 * g.dim.d - 1
-    violations: list[tuple[int, ...]] = []
-    checked = 0
-
-    def violates(removed: tuple[int, ...]) -> bool:
-        census = components_after_removal(g, removed)
-        if census.component_count <= 1:
-            return False
-        return census.component_sizes[-1] >= 2
-
+    vertices = range(g.vertex_count)
     if budget_mode == "exhaustive":
         total = sum(math.comb(g.vertex_count, size) for size in range(1, limit + 1))
         if total > _PROBE_EXHAUSTIVE_LIMIT:
             raise ParameterError(
                 f"exhaustive probe would visit {total} subsets; use sample mode"
             )
-        for size in range(1, limit + 1):
-            for removed in itertools.combinations(range(g.vertex_count), size):
-                checked += 1
-                if violates(removed):
-                    violations.append(removed)
-        return SuperCutProbeReport(
-            dim_d=g.dim.d,
-            dim_n=g.dim.n,
-            removal_size=limit,
-            mode="exhaustive",
-            checked=checked,
-            violations=violations,
-            seed=None,
-            generator=None,
-            elapsed_ms=int((time.perf_counter() - start) * 1000),
+        subsets = (
+            removed
+            for size in range(1, limit + 1)
+            for removed in itertools.combinations(vertices, size)
         )
-
-    if budget_mode != "sample":
+        seed, generator = None, None
+    elif budget_mode == "sample":
+        if sample_count < 1:
+            raise ParameterError("sample mode needs sample_count >= 1")
+        rng = random.Random(seed)
+        subsets = (tuple(sorted(rng.sample(vertices, limit))) for _ in range(sample_count))
+        generator = GENERATOR_ID
+    else:
         raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
-    if sample_count < 1:
-        raise ParameterError("sample mode needs sample_count >= 1")
-    rng = random.Random(seed)
-    checker = ModularChecker(g.dim) if g.dim.n >= 8 else None
-    for _ in range(sample_count):
-        removed = tuple(sorted(rng.sample(range(g.vertex_count), limit)))
+    survivors = SurvivorCheck(g)
+    violations: list[tuple[int, ...]] = []
+    checked = 0
+    for removed in subsets:
         checked += 1
-        if checker is not None:
-            verdict = checker.connected(removed)
-            if verdict:  # connected: cannot violate
-                continue
-        if violates(removed):
+        if survivors.connected(removed):
+            continue
+        census = components_after_removal(g, removed)
+        if census.component_count >= 2 and census.component_sizes[-1] >= 2:
             violations.append(removed)
     return SuperCutProbeReport(
         dim_d=g.dim.d,
         dim_n=g.dim.n,
         removal_size=limit,
-        mode="sample",
+        mode=budget_mode,
         checked=checked,
         violations=violations,
         seed=seed,
-        generator=GENERATOR_ID,
+        generator=generator,
         elapsed_ms=int((time.perf_counter() - start) * 1000),
     )

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsc import ParameterError, components_after_removal, make_dim
-from fdsc.modcheck import ModularChecker
+from fdsc.modcheck import ModularChecker, SurvivorCheck
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +15,7 @@ def checker8():
 
 def plain_connected(g, removed):
     census = components_after_removal(g, removed)
-    return census.component_count == 1
+    return census.component_count == 1 and census.surviving > 1
 
 
 class TestConstruction:
@@ -96,3 +98,30 @@ class TestAgainstPlainSearch:
 
     def test_empty_removal(self, checker8):
         assert checker8.connected([]) is True
+
+
+@pytest.mark.parametrize("name", ["fdsc4", "fdsc8", "dsc8"])
+def test_survivor_check_matches_census(name, request):
+    g = request.getfixturevalue(name)
+    check = SurvivorCheck(g)
+    # the checker models FDSC_n only, and needs n >= 8
+    assert (check.checker is not None) == (name == "fdsc8")
+    size = g.vertex_count
+    # even-weight vertices: half of every module, so none is intact
+    every_other = [v for v in range(size) if v.bit_count() % 2 == 0]
+    if check.checker is not None:
+        assert check.checker.connected(every_other) is None
+    for removed in ([], list(range(1, size)), list(g.adj[0]), every_other):
+        assert check.connected(removed) == plain_connected(g, removed), removed
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, size - 1), max_size=24))
+    def agrees(removed):
+        assert check.connected(removed) == plain_connected(g, removed)
+
+    agrees()
+
+
+def test_survivor_check_refuses_checker_off_fdsc(dsc8):
+    with pytest.raises(ParameterError):
+        SurvivorCheck(dsc8, use_modular=True)

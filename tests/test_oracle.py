@@ -100,11 +100,19 @@ class TestExactValues:
         assert result.examined == math.comb(c, 1) + math.comb(c, 2)
 
     def test_modular_and_plain_routes_agree(self, fdsc8):
-        fast = exact_structure_connectivity(fdsc8, 2, STRUCTURE, 2)
-        slow = exact_structure_connectivity(fdsc8, 2, STRUCTURE, 2, use_modular=False)
-        assert fast.value == slow.value == 2
-        assert fast.certificate.elements == slow.certificate.elements
-        assert fast.examined == slow.examined
+        # a certificate found at t = 2, and an exhausted sweep with no hit
+        for m, mode, budget, value in ((2, STRUCTURE, 2, 2), (5, SUBSTRUCTURE, 1, None)):
+            fast = exact_structure_connectivity(fdsc8, m, mode, budget)
+            slow = exact_structure_connectivity(fdsc8, m, mode, budget, use_modular=False)
+            assert fast.value == slow.value == value
+            if value is None:
+                assert fast.certificate is slow.certificate is None
+            else:
+                assert fast.certificate.elements == slow.certificate.elements
+            assert fast.proven_lower_bound == slow.proven_lower_bound
+            assert fast.examined == slow.examined
+            assert fast.pruned == slow.pruned
+            assert fast.connectivity_checks == slow.connectivity_checks
 
     def test_determinism(self, fdsc4):
         a = exact_structure_connectivity(fdsc4, 2, SUBSTRUCTURE, 3)
