@@ -32,6 +32,7 @@ from .labels import (
     complement_address,
     concat_halves,
     e1_neighbor,
+    ek,
     external_neighbor,
     f_neighbor,
     format_label,
@@ -266,6 +267,51 @@ def check_no_common_neighbor(dim: Dim) -> CheckResult:
     return _timed("apex-no-common-neighbor", run)
 
 
+def module_decomposition_violation(dim: Dim) -> str | None:
+    """Prove the module decomposition of FDSC_n (n >= 4) at label level.
+
+    In every module: each vertex's interior edges are those of its inner
+    label in FDSC_(n/2), kinds included (swap level k becomes k+1, so the
+    half-width cross edge becomes ek(2)); each vertex has exactly one cross
+    edge; and the cross edges reach every other module.  Returns the first
+    violation, naming its module, or None.
+    """
+    half_dim = make_dim(dim.d - 1)
+    half, mask, size = dim.half, dim.module_mask, 1 << dim.half
+    copies = [
+        {
+            y: ek((kind.k or 1) + 1) if kind.tag in ("ek", "external") else kind
+            for kind, y in neighbor_set(x, half_dim, FDSC)
+        }
+        for x in range(size)
+    ]
+    for b in range(size):
+        targets = set()
+        for x in range(size):
+            u = (x << half) | b
+            interior = {}
+            cross = []
+            for kind, v in neighbor_set(u, dim, FDSC):
+                if v & mask == b:
+                    interior[v >> half] = kind
+                else:
+                    cross.append(v)
+            if interior != copies[x]:
+                return (
+                    f"module {b:#x}: interior edges at {format_label(u, dim)} "
+                    f"do not match the half-width copy"
+                )
+            if len(cross) != 1:
+                return (
+                    f"module {b:#x}: vertex {format_label(u, dim)} has "
+                    f"{len(cross)} cross edges, expected exactly 1"
+                )
+            targets.add(cross[0] & mask)
+        if len(targets) != size - 1:
+            return f"module {b:#x}: cross edges do not reach every other module"
+    return None
+
+
 def check_graph_invariants(g: Graph) -> list[CheckResult]:
     """Global facts of the built graph: (d+2)-regularity, exact vertex and
     edge counts, the module-decomposition edge bijection, girth 3, and the
@@ -289,37 +335,9 @@ def check_graph_invariants(g: Graph) -> list[CheckResult]:
     def module_decomposition():
         if dim.n < 4:
             return SKIPPED, "no module structure below n = 4"
-        half_dim = make_dim(dim.d - 1)
-        kind_map: dict = {}
-        for b in range(1 << dim.half):
-            interior_seen = 0
-            for x in range(1 << dim.half):
-                u = concat_halves(x, b, dim)
-                mapped = {}
-                for kind, y in neighbor_set(x, half_dim, FDSC):
-                    if kind.tag == "e1":
-                        target_kind = "e1"
-                    elif kind.tag == "ef":
-                        target_kind = "ef"
-                    elif kind.tag == "external":
-                        target_kind = "ek(2)"
-                    else:
-                        target_kind = f"ek({kind.k + 1})"
-                    mapped[concat_halves(y, b, dim)] = target_kind
-                actual = {
-                    v: str(kind)
-                    for kind, v in neighbor_set(u, dim, FDSC)
-                    if module_address(v, dim) == b
-                }
-                if actual != mapped:
-                    return FAIL, (
-                        f"module {b:#x}: interior edges at {format_label(u, dim)} "
-                        f"do not match the half-width copy"
-                    )
-                interior_seen += len(actual)
-            expected_interior = (1 << (dim.half - 1)) * (dim.d + 1) * 2
-            if interior_seen != expected_interior:
-                return FAIL, f"module {b:#x}: interior edge endpoints {interior_seen}"
+        violation = module_decomposition_violation(dim)
+        if violation is not None:
+            return FAIL, violation
         return PASS, (
             f"all {1 << dim.half} modules are half-width copies "
             f"(swap level k maps to k+1)"

@@ -19,11 +19,13 @@ For a removal S touching at most a few modules:
   involution, scanning every touched survivor sees each such edge from
   both ends, so a component's scan may stop at its first core contact.
 
-The facts this argument leans on are not assumed: the constructor verifies
-them computationally for the exact dimension in use (interior adjacency of
-every module equals the mapped template adjacency, every vertex has exactly
-one cross edge, the module quotient is complete, the template is connected)
-and raises if any fails.  Given those, ``connected`` is exact whenever at
+The facts this argument leans on are not assumed: the constructor proves
+them for the exact dimension in use and raises if any fails.  The module
+facts (interior adjacency of every module equals the half-width copy, every
+vertex has exactly one cross edge, the module quotient is complete) come
+from ``checks.module_decomposition_violation``, the same proof the
+``module-decomposition`` check reports; the constructor adds only that the
+template is connected.  Given those, ``connected`` is exact whenever at
 least one module is intact; otherwise it returns None.
 
 ``SurvivorCheck`` is the one "is the survivor graph connected" entry point
@@ -34,9 +36,10 @@ whenever the checker cannot decide.
 
 from __future__ import annotations
 
+from .checks import module_decomposition_violation
 from .errors import ParameterError
 from .graph import Graph, build_graph, components_after_removal, is_connected
-from .labels import FDSC, Dim, external_neighbor, make_dim, neighbor_labels
+from .labels import FDSC, Dim, external_neighbor, make_dim
 
 _CACHE_SOFT_CAP = 200_000
 
@@ -45,7 +48,6 @@ class ModularChecker:
     def __init__(self, dim: Dim):
         if dim.n < 8:
             raise ParameterError("module-decomposition checker needs n >= 8")
-        self.dim = dim
         self.half = dim.half
         self.module_mask = dim.module_mask
         self.module_count = 1 << dim.half
@@ -62,41 +64,13 @@ class ModularChecker:
         # per inner label, shared by every module
         bits = [1 << x for x in range(self.module_count)]
         self.module_bit = [(v & self.module_mask, bits[v >> self.half]) for v in range(size)]
-        self._verify_decomposition()
-        # removed-inner-mask -> tuple of components (tuples of inner labels)
-        self._comp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def _verify_decomposition(self) -> None:
-        dim, half, mask = self.dim, self.half, self.module_mask
-        template_adj = self.template.adj
+        violation = module_decomposition_violation(dim)
+        if violation is not None:
+            raise AssertionError(violation)
         if not is_connected(self.template):
             raise AssertionError("module template graph is not connected")
-        for b in range(self.module_count):
-            targets = set()
-            for x in range(self.module_count):
-                v = (x << half) | b
-                interior = set()
-                external = []
-                for w in neighbor_labels(v, dim, FDSC):
-                    if w & mask == b:
-                        interior.add(w >> half)
-                    else:
-                        external.append(w)
-                if interior != set(template_adj[x]):
-                    raise AssertionError(
-                        f"module {b:#x}: interior adjacency of inner vertex "
-                        f"{x:#x} does not match the template"
-                    )
-                if len(external) != 1:
-                    raise AssertionError(
-                        f"module {b:#x}: vertex {v:#x} has {len(external)} "
-                        f"cross edges, expected exactly 1"
-                    )
-                targets.add(external[0] & mask)
-            if b in targets or len(targets) != self.module_count - 1:
-                raise AssertionError(
-                    f"module {b:#x}: cross edges do not reach every other module"
-                )
+        # removed-inner-mask -> tuple of components (tuples of inner labels)
+        self._comp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def _components(self, removed_mask: int) -> tuple[tuple[int, ...], ...]:
         comps = self._comp_cache.get(removed_mask)
@@ -131,15 +105,12 @@ class ModularChecker:
 
         Returns None when no module is intact (caller must fall back).
         """
+        # module -> mask of its removed inner labels
         touched: dict[int, int] = {}
         module_bit = self.module_bit
         for v in removed:
             b, bit = module_bit[v]
             touched[b] = touched.get(b, 0) | bit
-        return self.connected_grouped(touched)
-
-    def connected_grouped(self, touched: dict[int, int]) -> bool | None:
-        """Connectivity given removals pre-grouped as module -> inner mask."""
         if len(touched) >= self.module_count:
             return None
         half = self.half

@@ -19,6 +19,10 @@ the result so a reviewer can audit the exhaustiveness argument:
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
 
+``_FamilySearch`` is the one sweep engine: a vertex or an edge is a star
+with at most one leaf, so the exhaustive mixed removal check is the
+K_{1,1}-substructure oracle's sweep.
+
 Every survivor question here (the family sweeps, the sampled removal check
 and both probe modes) goes through one entry point,
 ``modcheck.SurvivorCheck``, which owns the rule for when the checker
@@ -133,7 +137,7 @@ class OracleResult:
 
 
 class _FamilySearch:
-    """Shared sweep over subsets of removal elements.
+    """The one sweep over subsets of removal elements.
 
     Elements are given by their vertex tuples; the sweep iterates subsets
     of a fixed size in lexicographic index order and reports the first
@@ -260,6 +264,15 @@ class RemovalSpec:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
+    @classmethod
+    def from_family(cls, family: FaultFamily) -> RemovalSpec:
+        """A family of stars with at most one leaf as a mix: a 0-leaf star
+        is its center, a 1-leaf star the edge (smaller label first)."""
+        return cls(
+            vertices=tuple(s.center for s in family.elements if not s.leaves),
+            edges=tuple(tuple(sorted(s.vertices)) for s in family.elements if s.leaves),
+        )
+
     def removed(self) -> set[int]:
         out = set(self.vertices)
         for u, v in self.edges:
@@ -321,9 +334,12 @@ def check_vertex_edge_removals(
     """Assert the graph stays connected after removing any mix of up to
     ``budget`` elements, each a single vertex or both endpoints of an edge.
 
-    Default budget is d.  Exhaustive mode enumerates every such mix;
-    sample mode draws ``sample_count`` mixes of exactly ``budget`` elements
-    with a seeded generator.  Disconnecting mixes are reported verbatim.
+    Default budget is d; a budget below 1 is refused.  Exhaustive mode is
+    the K_{1,1}-substructure oracle at this budget: ``checked``/``pruned``
+    are its ``examined``/``pruned``, and its certificate, the first
+    disconnecting mix in its candidate order, is the one reported.  Sample
+    mode draws ``sample_count`` mixes of exactly ``budget`` elements with a
+    seeded generator and reports every disconnecting one.
     """
     if g.variant != FDSC:
         raise ParameterError("removal check is defined for the fdsc variant")
@@ -332,31 +348,22 @@ def check_vertex_edge_removals(
     if budget is None:
         budget = g.dim.d
     start = time.perf_counter()
-    edge_list = list(g.edges())
     disconnections: list[RemovalSpec] = []
 
     if budget_mode == "exhaustive":
-        elements: list[RemovalSpec] = [
-            RemovalSpec((v,), ()) for v in range(g.vertex_count)
-        ]
-        elements += [RemovalSpec((), (e,)) for e in edge_list]
-        search = _FamilySearch(g, [tuple(sorted(s.removed())) for s in elements])
-        for t in range(1, budget + 1):
-            hit = search.sweep(t)
-            if hit is not None:
-                disconnections.append(
-                    RemovalSpec(
-                        vertices=tuple(v for i in hit for v in elements[i].vertices),
-                        edges=tuple(e for i in hit for e in elements[i].edges),
-                    )
-                )
-                break  # one verbatim counterexample is the finding
-        checked, pruned, notes = search.examined, search.pruned, search.notes()
+        result = exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget)
+        if result.certificate is not None:
+            disconnections.append(RemovalSpec.from_family(result.certificate))
+        checked, pruned = result.examined, result.pruned
+        notes = {k: v for k, v in result.notes.items() if k != "budget_exhausted"}
         seed, generator = None, None
     elif budget_mode == "sample":
         if sample_count < 1:
             raise ParameterError("sample mode needs sample_count >= 1")
+        if budget < 1:
+            raise ParameterError(f"budget must be >= 1, got {budget}")
         rng = random.Random(seed)
+        edge_list = list(g.edges())
         survivors = SurvivorCheck(g)
         for _ in range(sample_count):
             vertex_count = rng.randint(0, budget)

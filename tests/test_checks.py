@@ -1,6 +1,6 @@
 import pytest
 
-from fdsc import make_dim, parse_label, run_all
+from fdsc import checks, make_dim, parse_label, run_all
 from fdsc.checks import (
     FAIL,
     PASS,
@@ -11,6 +11,8 @@ from fdsc.checks import (
     check_neighborhood_structure,
     check_no_common_neighbor,
 )
+from fdsc.labels import EXTERNAL, ek, external_neighbor, neighbor_set
+from fdsc.modcheck import ModularChecker
 
 D2, D3 = make_dim(2), make_dim(3)
 
@@ -70,6 +72,58 @@ class TestGraphInvariants:
         assert results["module-decomposition"].status == SKIPPED
         assert results["complete-quotient"].status == SKIPPED
         assert results["girth"].status == PASS
+
+
+def _fault(name, dim, b=0x5):
+    """A neighbor function that is wrong at one vertex u of module b."""
+    half, mask = dim.half, dim.module_mask
+    members = [(x << half) | b for x in range(1 << half)]
+    u = members[2]
+    if name == "missed-module":
+        # its cross edge is the only one from b into its target module
+        u = next(v for v in members if external_neighbor(v, dim) & mask != b ^ mask)
+
+    def faulty(v, vdim, variant="fdsc"):
+        out = neighbor_set(v, vdim, variant)
+        if v != u or vdim != dim:
+            return out
+        if name == "interior":
+            # the e1 neighbor moves to a non-adjacent vertex of the module
+            taken = {w for _, w in out} | {u}
+            out[0] = (out[0][0], next(w for w in members if w not in taken))
+        elif name == "kind":
+            out[1] = (ek(3), out[1][1])  # the ek(2) neighbor keeps its label
+        elif name == "two-cross-edges":
+            out.append((EXTERNAL, u ^ 1))
+        else:
+            # the cross edge lands in the complement module instead
+            out = [(k, members[1] ^ mask if k == EXTERNAL else w) for k, w in out]
+        return out
+
+    return faulty
+
+
+class TestModuleDecompositionProof:
+    """One proof serves the module-decomposition check and the modular
+    checker's preconditions; a single wrong neighbor fails both."""
+
+    @pytest.mark.parametrize(
+        "name,fact",
+        [
+            ("interior", "do not match the half-width copy"),
+            ("kind", "do not match the half-width copy"),
+            ("two-cross-edges", "has 2 cross edges"),
+            ("missed-module", "do not reach every other module"),
+        ],
+    )
+    def test_one_wrong_neighbor_fails_both_users(self, name, fact, monkeypatch):
+        monkeypatch.setattr(checks, "neighbor_set", _fault(name, D3))
+        violation = checks.module_decomposition_violation(D3)
+        assert violation is not None and violation.startswith("module 0x5:"), violation
+        assert fact in violation
+        with pytest.raises(AssertionError, match="module 0x5:"):
+            ModularChecker(D3)
+        assert by_name(run_all(D3).checks)["module-decomposition"].status == FAIL
 
 
 class TestNeighborhoodStructure:

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 from fdsc import (
+    FaultFamily,
     ParameterError,
+    RemovalSpec,
     apply_cut,
     check_vertex_edge_removals,
     enumerate_candidates,
@@ -10,7 +14,7 @@ from fdsc import (
     reference_value,
     super_cut_probe,
 )
-from fdsc.cuts import STRUCTURE, SUBSTRUCTURE
+from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, star
 from fdsc.graph import components_after_removal
 
 D2, D3 = make_dim(2), make_dim(3)
@@ -91,8 +95,6 @@ class TestExactValues:
 
     def test_exhausted_space_recount_n8(self, fdsc8):
         # no-cut verdicts must have swept exactly C(candidates, t) per size
-        import math
-
         result = exact_structure_connectivity(fdsc8, 1, STRUCTURE, 2)
         assert result.value is None
         c = result.candidates
@@ -173,11 +175,35 @@ class TestReferenceValues:
 
 class TestRemovalCheck:
     def test_small_exhaustive_holds(self, fdsc8):
-        report = check_vertex_edge_removals(fdsc8, "exhaustive", budget=2)
-        assert report.holds
-        assert report.disconnections == []
-        # C(896,1) + C(896,2) mixed vertex/edge elements
-        assert report.checked == 896 + 896 * 895 // 2
+        # the exhaustive check is the K_{1,1}-substructure oracle's sweep
+        # over 896 = 256 vertices + 640 edges
+        for budget in (1, 2):
+            report = check_vertex_edge_removals(fdsc8, "exhaustive", budget=budget)
+            assert report.holds
+            assert report.disconnections == []
+            assert report.checked == sum(math.comb(896, t) for t in range(1, budget + 1))
+            oracle = exact_structure_connectivity(fdsc8, 1, SUBSTRUCTURE, budget)
+            assert (report.checked, report.pruned) == (oracle.examined, oracle.pruned)
+            assert oracle.notes.pop("budget_exhausted") is True
+            assert report.notes == oracle.notes
+
+    def test_certificate_maps_to_one_mix(self, fdsc4):
+        # no feasible call reaches a hit (d >= 3 is required, and FDSC_8
+        # needs t = 4), so the mapping is tested on the n = 4 certificate
+        family = exact_structure_connectivity(fdsc4, 1, SUBSTRUCTURE, 2).certificate
+        assert [(s.center, s.leaves) for s in family.elements] == [(0, {12}), (7, {11})]
+        spec = RemovalSpec.from_family(family)
+        assert spec == RemovalSpec(vertices=(), edges=((0, 12), (7, 11)))
+        assert spec.removed() == family.vertex_union()
+        # a 0-leaf star is a vertex; an edge lists its smaller label first
+        mixed = FaultFamily([star(5), star(9, [3])], pattern_m=1, mode=SUBSTRUCTURE)
+        assert RemovalSpec.from_family(mixed) == RemovalSpec((5,), ((3, 9),))
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_budget_below_one_rejected(self, fdsc8, mode, budget):
+        with pytest.raises(ParameterError):
+            check_vertex_edge_removals(fdsc8, mode, sample_count=10, budget=budget)
 
     def test_sample_holds_and_deterministic(self, fdsc8):
         a = check_vertex_edge_removals(fdsc8, "sample", sample_count=2000, seed=42)
