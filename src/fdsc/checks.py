@@ -149,8 +149,7 @@ def check_label_invariants(dim: Dim, variant: str = FDSC) -> list[CheckResult]:
             if u in seen_labels:
                 return FAIL, f"{format_label(u, dim)} adjacent to itself"
             for kind, v in nbrs:
-                back = dict((w, kk) for kk, w in neighbor_set(v, dim, variant))
-                if u not in back or back[u] != kind:
+                if (kind, u) not in neighbor_set(v, dim, variant):
                     return FAIL, (
                         f"asymmetric {kind} edge {format_label(u, dim)} -- "
                         f"{format_label(v, dim)}"

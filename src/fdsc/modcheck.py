@@ -171,19 +171,16 @@ class SurvivorCheck:
 
     Built once per graph.  ``connected(removed)`` is true iff at least two
     vertices survive and they form one component; ``removed`` may repeat
-    vertices.  The module-decomposition checker answers when it applies
-    (``use_modular`` defaults to FDSC_n with n >= 8) and can decide; a plain
-    component census answers otherwise.  ``use_modular=False`` forces the
-    plain route, the reference the fast one is tested against.
+    vertices.  With ``use_modular`` (the default), the module-decomposition
+    checker answers where it applies (FDSC_n with n >= 8) and can decide; a
+    plain component census answers otherwise.  ``use_modular=False`` forces
+    the plain route, the reference the fast one is tested against.
     """
 
-    def __init__(self, g: Graph, use_modular=None):
-        if use_modular is None:
-            use_modular = g.variant == FDSC and g.dim.n >= 8
-        if use_modular and g.variant != FDSC:
-            raise ParameterError("module-decomposition checker models the fdsc variant only")
+    def __init__(self, g: Graph, use_modular: bool = True):
         self.g = g
-        self.checker = ModularChecker(g.dim) if use_modular else None
+        applies = use_modular and g.variant == FDSC and g.dim.n >= 8
+        self.checker = ModularChecker(g.dim) if applies else None
         self.method = (
             "module-decomposition checker (preconditions verified at "
             "construction), plain search fallback"

@@ -47,7 +47,7 @@ from .cuts import (
 )
 from .errors import ParameterError
 from .graph import Graph, components_after_removal, vertex_connectivity
-from .labels import FDSC, format_label
+from .labels import FDSC
 from .modcheck import SurvivorCheck
 
 GENERATOR_ID = "python-random-mt19937"
@@ -144,7 +144,7 @@ class _FamilySearch:
     whose removal disconnects the graph (or leaves <= 1 vertex).
     """
 
-    def __init__(self, g: Graph, vertex_sets: list[tuple[int, ...]], use_modular=None):
+    def __init__(self, g: Graph, vertex_sets: list[tuple[int, ...]], use_modular: bool = True):
         self.vertex_sets = vertex_sets
         self.masks = [self._mask(vs) for vs in vertex_sets]
         self.kappa = vertex_connectivity(g)
@@ -202,7 +202,7 @@ class _FamilySearch:
 
 
 def exact_structure_connectivity(
-    g: Graph, m: int, mode: str, size_budget: int, use_modular=None
+    g: Graph, m: int, mode: str, size_budget: int, use_modular: bool = True
 ) -> OracleResult:
     """Exact pattern connectivity by exhaustive family search.
 
@@ -280,48 +280,25 @@ class RemovalSpec:
             out.add(v)
         return out
 
-    def to_json(self, dim) -> dict:
-        return {
-            "vertices": [format_label(v, dim) for v in self.vertices],
-            "edges": [
-                [format_label(u, dim), format_label(v, dim)] for u, v in self.edges
-            ],
-        }
-
 
 @dataclass
-class RemovalCheckReport:
-    dim_d: int
-    dim_n: int
+class RemovalReport:
+    """Verdict of a removal check: how many removals were ``checked`` (and
+    how many of those a sound prune ``pruned``), and every one that broke
+    the checked property.  The verdict ``holds`` iff none did."""
+
     budget: int
     mode: str
     checked: int
     pruned: int
-    disconnections: list[RemovalSpec]
-    seed: int | None
-    generator: str | None
-    elapsed_ms: int
+    violations: list[RemovalSpec]
+    seed: int | None = None
+    generator: str | None = None
     notes: dict = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
-        return not self.disconnections
-
-    def to_json(self, dim) -> dict:
-        return {
-            "n": self.dim_n,
-            "d": self.dim_d,
-            "budget": self.budget,
-            "mode": self.mode,
-            "checked": self.checked,
-            "pruned": self.pruned,
-            "disconnections": [s.to_json(dim) for s in self.disconnections],
-            "holds": self.holds,
-            "seed": self.seed,
-            "generator": self.generator,
-            "elapsed_ms": self.elapsed_ms,
-            "notes": self.notes,
-        }
+        return not self.violations
 
 
 def check_vertex_edge_removals(
@@ -330,16 +307,17 @@ def check_vertex_edge_removals(
     sample_count: int = 0,
     seed: int = 0,
     budget: int | None = None,
-) -> RemovalCheckReport:
+) -> RemovalReport:
     """Assert the graph stays connected after removing any mix of up to
     ``budget`` elements, each a single vertex or both endpoints of an edge.
 
     Default budget is d; a budget below 1 is refused.  Exhaustive mode is
     the K_{1,1}-substructure oracle at this budget: ``checked``/``pruned``
     are its ``examined``/``pruned``, and its certificate, the first
-    disconnecting mix in its candidate order, is the one reported.  Sample
-    mode draws ``sample_count`` mixes of exactly ``budget`` elements with a
-    seeded generator and reports every disconnecting one.
+    disconnecting mix in its candidate order, is the one violation
+    reported.  Sample mode draws ``sample_count`` mixes of exactly
+    ``budget`` elements with a seeded generator and reports every
+    disconnecting one.
     """
     if g.variant != FDSC:
         raise ParameterError("removal check is defined for the fdsc variant")
@@ -347,88 +325,51 @@ def check_vertex_edge_removals(
         raise ParameterError("removal check needs d >= 3")
     if budget is None:
         budget = g.dim.d
-    start = time.perf_counter()
-    disconnections: list[RemovalSpec] = []
-
     if budget_mode == "exhaustive":
         result = exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget)
-        if result.certificate is not None:
-            disconnections.append(RemovalSpec.from_family(result.certificate))
-        checked, pruned = result.examined, result.pruned
-        notes = {k: v for k, v in result.notes.items() if k != "budget_exhausted"}
-        seed, generator = None, None
-    elif budget_mode == "sample":
-        if sample_count < 1:
-            raise ParameterError("sample mode needs sample_count >= 1")
-        if budget < 1:
-            raise ParameterError(f"budget must be >= 1, got {budget}")
-        rng = random.Random(seed)
-        edge_list = list(g.edges())
-        survivors = SurvivorCheck(g)
-        for _ in range(sample_count):
-            vertex_count = rng.randint(0, budget)
-            edge_count = budget - vertex_count
-            vertices = tuple(sorted(rng.sample(range(g.vertex_count), vertex_count)))
-            edges = tuple(sorted(edge_list[i] for i in rng.sample(range(len(edge_list)), edge_count)))
-            spec = RemovalSpec(vertices, edges)
-            if not survivors.connected(spec.removed()):
-                disconnections.append(spec)
-        checked, pruned, generator = sample_count, 0, GENERATOR_ID
-        notes = {
+        cert = result.certificate
+        return RemovalReport(
+            budget=budget,
+            mode=budget_mode,
+            checked=result.examined,
+            pruned=result.pruned,
+            violations=[] if cert is None else [RemovalSpec.from_family(cert)],
+            notes={k: v for k, v in result.notes.items() if k != "budget_exhausted"},
+        )
+    if budget_mode != "sample":
+        raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
+    if sample_count < 1:
+        raise ParameterError("sample mode needs sample_count >= 1")
+    if budget < 1:
+        raise ParameterError(f"budget must be >= 1, got {budget}")
+    rng = random.Random(seed)
+    edge_list = list(g.edges())
+    survivors = SurvivorCheck(g)
+    violations: list[RemovalSpec] = []
+    for _ in range(sample_count):
+        vertex_count = rng.randint(0, budget)
+        edge_count = budget - vertex_count
+        vertices = tuple(sorted(rng.sample(range(g.vertex_count), vertex_count)))
+        edges = tuple(sorted(edge_list[i] for i in rng.sample(range(len(edge_list)), edge_count)))
+        spec = RemovalSpec(vertices, edges)
+        if not survivors.connected(spec.removed()):
+            violations.append(spec)
+    return RemovalReport(
+        budget=budget,
+        mode=budget_mode,
+        checked=sample_count,
+        pruned=0,
+        violations=violations,
+        seed=seed,
+        generator=GENERATOR_ID,
+        notes={
             "sampling": (
                 "element count fixed at the budget; vertex/edge split and "
                 "members drawn uniformly with the seeded generator"
             ),
             "connectivity_method": survivors.method,
-        }
-    else:
-        raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
-    return RemovalCheckReport(
-        dim_d=g.dim.d,
-        dim_n=g.dim.n,
-        budget=budget,
-        mode=budget_mode,
-        checked=checked,
-        pruned=pruned,
-        disconnections=disconnections,
-        seed=seed,
-        generator=generator,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-        notes=notes,
+        },
     )
-
-
-@dataclass
-class SuperCutProbeReport:
-    dim_d: int
-    dim_n: int
-    removal_size: int
-    mode: str
-    checked: int
-    violations: list[tuple[int, ...]]
-    seed: int | None
-    generator: str | None
-    elapsed_ms: int
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-    def to_json(self, dim) -> dict:
-        return {
-            "n": self.dim_n,
-            "d": self.dim_d,
-            "removal_size": self.removal_size,
-            "mode": self.mode,
-            "checked": self.checked,
-            "violations": [
-                [format_label(v, dim) for v in vs] for vs in self.violations
-            ],
-            "holds": self.holds,
-            "seed": self.seed,
-            "generator": self.generator,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 _PROBE_EXHAUSTIVE_LIMIT = 10_000_000
@@ -436,23 +377,23 @@ _PROBE_EXHAUSTIVE_LIMIT = 10_000_000
 
 def super_cut_probe(
     g: Graph, budget_mode: str = "exhaustive", sample_count: int = 0, seed: int = 0
-) -> SuperCutProbeReport:
+) -> RemovalReport:
     """Probe: removing fewer than 2d vertices never disconnects the graph
     without isolating a vertex.
 
     Exhaustive mode checks every vertex subset of size <= 2d-1 (feasible at
-    n = 4 only); sample mode draws subsets of size exactly 2d-1.  A
-    disconnection whose smallest component has >= 2 vertices is a
-    violation and is reported.
+    n = 4 only); sample mode draws subsets of size exactly 2d-1.  The
+    report's budget is 2d-1 and nothing is pruned.  A disconnection whose
+    smallest component has >= 2 vertices is a violation, reported as a
+    vertex-only ``RemovalSpec``.
     """
-    start = time.perf_counter()
     limit = 2 * g.dim.d - 1
     vertices = range(g.vertex_count)
     if budget_mode == "exhaustive":
-        total = sum(math.comb(g.vertex_count, size) for size in range(1, limit + 1))
-        if total > _PROBE_EXHAUSTIVE_LIMIT:
+        checked = sum(math.comb(g.vertex_count, size) for size in range(1, limit + 1))
+        if checked > _PROBE_EXHAUSTIVE_LIMIT:
             raise ParameterError(
-                f"exhaustive probe would visit {total} subsets; use sample mode"
+                f"exhaustive probe would visit {checked} subsets; use sample mode"
             )
         subsets = (
             removed
@@ -465,27 +406,23 @@ def super_cut_probe(
             raise ParameterError("sample mode needs sample_count >= 1")
         rng = random.Random(seed)
         subsets = (tuple(sorted(rng.sample(vertices, limit))) for _ in range(sample_count))
-        generator = GENERATOR_ID
+        checked, generator = sample_count, GENERATOR_ID
     else:
         raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
     survivors = SurvivorCheck(g)
-    violations: list[tuple[int, ...]] = []
-    checked = 0
+    violations: list[RemovalSpec] = []
     for removed in subsets:
-        checked += 1
         if survivors.connected(removed):
             continue
         census = components_after_removal(g, removed)
         if census.component_count >= 2 and census.component_sizes[-1] >= 2:
-            violations.append(removed)
-    return SuperCutProbeReport(
-        dim_d=g.dim.d,
-        dim_n=g.dim.n,
-        removal_size=limit,
+            violations.append(RemovalSpec(vertices=removed, edges=()))
+    return RemovalReport(
+        budget=limit,
         mode=budget_mode,
         checked=checked,
+        pruned=0,
         violations=violations,
         seed=seed,
         generator=generator,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
     )

@@ -1,8 +1,13 @@
 import json
+import pathlib
+import re
 
 import pytest
 
 from fdsc.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -211,3 +216,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_readme_example_golden_bytes(capsysbinary, case):
+    """The README CLI examples print these exact bytes and exit codes;
+    only ``elapsed_ms`` values may differ.  To record a deliberate output
+    change, write ``python -m fdsc <argv>`` to ``golden/<name>.out`` with
+    each ``elapsed_ms`` set to 0."""
+    code = main(case["argv"].split())
+    out = re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', capsysbinary.readouterr().out)
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{case['name']}.out").read_bytes()

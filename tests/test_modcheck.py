@@ -120,8 +120,3 @@ def test_survivor_check_matches_census(name, request):
         assert check.connected(removed) == plain_connected(g, removed)
 
     agrees()
-
-
-def test_survivor_check_refuses_checker_off_fdsc(dsc8):
-    with pytest.raises(ParameterError):
-        SurvivorCheck(dsc8, use_modular=True)

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from fdsc import (
+    FDSC,
     FaultFamily,
+    Graph,
     ParameterError,
     RemovalSpec,
     apply_cut,
@@ -180,7 +182,7 @@ class TestRemovalCheck:
         for budget in (1, 2):
             report = check_vertex_edge_removals(fdsc8, "exhaustive", budget=budget)
             assert report.holds
-            assert report.disconnections == []
+            assert report.violations == []
             assert report.checked == sum(math.comb(896, t) for t in range(1, budget + 1))
             oracle = exact_structure_connectivity(fdsc8, 1, SUBSTRUCTURE, budget)
             assert (report.checked, report.pruned) == (oracle.examined, oracle.pruned)
@@ -230,7 +232,7 @@ class TestSuperCutProbe:
     def test_sample_n8(self, fdsc8):
         report = super_cut_probe(fdsc8, "sample", sample_count=2000, seed=0)
         assert report.holds
-        assert report.removal_size == 5
+        assert report.budget == 5
 
     def test_neighborhood_removal_isolates_not_violates(self, fdsc4):
         # removing a full neighborhood disconnects, but with an isolated
@@ -245,6 +247,24 @@ class TestSuperCutProbe:
     def test_exhaustive_cap(self, fdsc8):
         with pytest.raises(ParameterError):
             super_cut_probe(fdsc8, "exhaustive")
+
+    def test_violations_are_vertex_only_removals(self):
+        # no FDSC or DSC call that can run reaches a violation, so the
+        # probe runs on two 8-cliques joined by the edge 7 -- 8
+        halves = (range(8), range(8, 16))
+        adj = [[v for v in half if v != u] for half in halves for u in half]
+        adj[7].append(8)
+        adj[8].append(7)
+        g = Graph(dim=make_dim(2), variant=FDSC, adj=adj)
+        report = super_cut_probe(g, "exhaustive")
+        assert not report.holds
+        assert report.checked == 696
+        assert report.violations[:2] == [RemovalSpec((7,), ()), RemovalSpec((8,), ())]
+        for v in report.violations:
+            assert v.edges == ()
+            census = components_after_removal(g, v.removed())
+            assert census.component_count >= 2
+            assert census.component_sizes[-1] >= 2
 
     def test_bad_mode(self, fdsc4):
         with pytest.raises(ParameterError):
