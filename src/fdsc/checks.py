@@ -114,18 +114,16 @@ def _timed(name: str, fn) -> CheckResult:
     )
 
 
-def check_label_invariants(dim: Dim, variant: str = FDSC) -> list[CheckResult]:
+def check_label_invariants(dim: Dim) -> list[CheckResult]:
     """Neighbor maps are fixed-point-free involutions, neighbor lists have
     the right degree with pairwise-distinct members, adjacency is symmetric
     with matching kinds, and the top-level swap complements exactly s_1 s_2
     (so e1 after it equals the folded map)."""
     labels, scope = _labels_to_scan(dim)
-    expected_degree = dim.d + 2 if variant == FDSC else dim.d + 1
+    expected_degree = dim.d + 2
 
     def involutions():
-        maps = [("e1", lambda u: e1_neighbor(u, dim))]
-        if variant == FDSC:
-            maps.append(("ef", lambda u: f_neighbor(u, dim)))
+        maps = [("e1", lambda u: e1_neighbor(u, dim)), ("ef", lambda u: f_neighbor(u, dim))]
         for k in range(1, dim.d + 1):
             maps.append((f"swap{k}", lambda u, k=k: swap_neighbor(u, k, dim)))
         for name, fn in maps:
@@ -139,7 +137,7 @@ def check_label_invariants(dim: Dim, variant: str = FDSC) -> list[CheckResult]:
 
     def degree_and_symmetry():
         for u in labels:
-            nbrs = neighbor_set(u, dim, variant)
+            nbrs = neighbor_set(u, dim)
             seen_labels = {v for _, v in nbrs}
             if len(nbrs) != expected_degree or len(seen_labels) != expected_degree:
                 return FAIL, (
@@ -149,7 +147,7 @@ def check_label_invariants(dim: Dim, variant: str = FDSC) -> list[CheckResult]:
             if u in seen_labels:
                 return FAIL, f"{format_label(u, dim)} adjacent to itself"
             for kind, v in nbrs:
-                if (kind, u) not in neighbor_set(v, dim, variant):
+                if (kind, u) not in neighbor_set(v, dim):
                     return FAIL, (
                         f"asymmetric {kind} edge {format_label(u, dim)} -- "
                         f"{format_label(v, dim)}"
@@ -450,7 +448,7 @@ def run_all(dim: Dim, graph: Graph | None = None) -> CheckReport:
     there; from n = 8 on every check that runs passes.
     """
     report = CheckReport(dim=dim)
-    report.checks.extend(check_label_invariants(dim, FDSC))
+    report.checks.extend(check_label_invariants(dim))
     if dim.n >= 4:
         report.checks.extend(check_cross_edge_structure(dim))
         report.checks.append(check_no_common_neighbor(dim))

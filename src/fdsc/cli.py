@@ -138,7 +138,7 @@ def cmd_oracle(args) -> int:
             consistent = result.value == expected
         else:
             consistent = result.proven_lower_bound <= expected
-    payload = result.to_json(dim)
+    payload = result.to_json()
     payload["version"] = __version__
     payload["config"] = {
         "command": "oracle",

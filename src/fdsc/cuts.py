@@ -81,7 +81,6 @@ class FaultFamily:
 
 @dataclass
 class CutReport:
-    family: FaultFamily
     removed_vertex_count: int
     census: ComponentCensus
     is_cut: bool
@@ -277,15 +276,13 @@ def apply_cut(g: Graph, fam: FaultFamily) -> CutReport:
     """Remove the family's vertex union and report the component census."""
     removed = fam.vertex_union()
     census = components_after_removal(g, removed)
-    is_cut = census.component_count >= 2 or census.surviving <= 1
     isolated = None
     if census.component_sizes and census.component_sizes[-1] == 1:
         isolated = census.smallest_component_members[0]
     return CutReport(
-        family=fam,
         removed_vertex_count=len(removed),
         census=census,
-        is_cut=is_cut,
+        is_cut=census.disconnected,
         isolated_target=isolated,
     )
 
@@ -314,8 +311,11 @@ def family_from_json(obj: dict, dim: Dim) -> FaultFamily:
     if mode not in MODES:
         raise ParameterError(f"family mode must be one of {MODES}, got {mode!r}")
     elements = []
-    for entry in raw_elements:
-        center = parse_label(entry["center"], dim)
-        leaves = [parse_label(text, dim) for text in entry.get("leaves", [])]
-        elements.append(star(center, leaves))
+    try:
+        for entry in raw_elements:
+            center = parse_label(entry["center"], dim)
+            leaves = [parse_label(text, dim) for text in entry.get("leaves", [])]
+            elements.append(star(center, leaves))
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed family JSON: {exc}") from exc
     return FaultFamily(elements=elements, pattern_m=m, mode=mode)

@@ -68,6 +68,11 @@ class ComponentCensus:
     def surviving(self) -> int:
         return sum(self.component_sizes)
 
+    @property
+    def disconnected(self) -> bool:
+        """Two or more components, or fewer than two surviving vertices."""
+        return self.component_count >= 2 or self.surviving <= 1
+
 
 def build_graph(dim: Dim, variant: str = FDSC) -> Graph:
     """Materialize the adjacency of FDSC_n or DSC_n from the label rules."""

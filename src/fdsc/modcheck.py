@@ -193,5 +193,4 @@ class SurvivorCheck:
             verdict = self.checker.connected(removed)
             if verdict is not None:
                 return verdict
-        census = components_after_removal(self.g, removed)
-        return census.component_count == 1 and census.surviving > 1
+        return not components_after_removal(self.g, removed).disconnected

@@ -19,8 +19,9 @@ the result so a reviewer can audit the exhaustiveness argument:
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
 
-``_FamilySearch`` is the one sweep engine: a vertex or an edge is a star
-with at most one leaf, so the exhaustive mixed removal check is the
+``_sweep`` is the one sweep engine, a stateless function of the element
+vertex sets, the family size and a kappa bound: a vertex or an edge is a
+star with at most one leaf, so the exhaustive mixed removal check is the
 K_{1,1}-substructure oracle's sweep.
 
 Every survivor question here (the family sweeps, the sampled removal check
@@ -47,7 +48,7 @@ from .cuts import (
 )
 from .errors import ParameterError
 from .graph import Graph, components_after_removal, vertex_connectivity
-from .labels import FDSC
+from .labels import FDSC, Dim
 from .modcheck import SurvivorCheck
 
 GENERATOR_ID = "python-random-mt19937"
@@ -102,8 +103,7 @@ def enumerate_candidates(g: Graph, m: int, mode: str) -> list[Star]:
 
 @dataclass
 class OracleResult:
-    dim_d: int
-    dim_n: int
+    dim: Dim
     pattern_m: int
     mode: str
     value: int | None
@@ -112,20 +112,24 @@ class OracleResult:
     candidates: int
     examined: int
     pruned: int
-    connectivity_checks: int
     elapsed_ms: int
     notes: dict = field(default_factory=dict)
 
-    def to_json(self, dim) -> dict:
+    @property
+    def connectivity_checks(self) -> int:
+        """Survivor graphs checked: every examined subset not pruned."""
+        return self.examined - self.pruned
+
+    def to_json(self) -> dict:
         return {
-            "n": self.dim_n,
-            "d": self.dim_d,
+            "n": self.dim.n,
+            "d": self.dim.d,
             "m": self.pattern_m,
             "mode": self.mode,
             "value": self.value,
             "lower_bound": self.proven_lower_bound,
             "certificate": (
-                family_to_json(self.certificate, dim) if self.certificate else None
+                family_to_json(self.certificate, self.dim) if self.certificate else None
             ),
             "candidates": self.candidates,
             "examined": self.examined,
@@ -136,69 +140,27 @@ class OracleResult:
         }
 
 
-class _FamilySearch:
-    """The one sweep over subsets of removal elements.
-
-    Elements are given by their vertex tuples; the sweep iterates subsets
-    of a fixed size in lexicographic index order and reports the first
-    whose removal disconnects the graph (or leaves <= 1 vertex).
-    """
-
-    def __init__(self, g: Graph, vertex_sets: list[tuple[int, ...]], use_modular: bool = True):
-        self.vertex_sets = vertex_sets
-        self.masks = [self._mask(vs) for vs in vertex_sets]
-        self.kappa = vertex_connectivity(g)
-        self.survivors = SurvivorCheck(g, use_modular)
-        self.examined = 0
-        self.pruned = 0
-        self.checks = 0
-
-    @staticmethod
-    def _mask(vs: tuple[int, ...]) -> int:
-        m = 0
-        for v in vs:
-            m |= 1 << v
-        return m
-
-    def sweep(self, t: int) -> tuple[int, ...] | None:
-        """First size-t subset (by index order) that disconnects, or None."""
-        masks = self.masks
-        if t == 0 or len(masks) < t:
-            return None
-        vertex_sets = self.vertex_sets
-        connected = self.survivors.connected
-        kappa = self.kappa
-        examined = pruned = checks = 0
-        hit = None
-        for combo in itertools.combinations(range(len(masks)), t):
-            examined += 1
-            union = 0
-            for i in combo:
-                union |= masks[i]
-            if union.bit_count() < kappa:
-                pruned += 1
-                continue
-            checks += 1
-            removed = []
-            for i in combo:
-                removed += vertex_sets[i]
-            if not connected(removed):
-                hit = combo
-                break
-        self.examined += examined
-        self.pruned += pruned
-        self.checks += checks
-        return hit
-
-    def notes(self) -> dict:
-        return {
-            "prune_rule": (
-                "subsets with removed-vertex union smaller than the exact "
-                f"vertex connectivity ({self.kappa}, computed by flow) cannot "
-                "disconnect and are skipped"
-            ),
-            "connectivity_method": self.survivors.method,
-        }
+def _sweep(vertex_sets: list[tuple[int, ...]], t: int, kappa: int, connected):
+    """First size-t subset of the elements (vertex tuples, lexicographic
+    index order) whose removal makes ``connected`` false, or None, with the
+    counts of subsets examined and pruned; a removed-vertex union smaller
+    than ``kappa``, a lower bound on vertex connectivity, is pruned."""
+    masks = [sum(1 << v for v in vs) for vs in vertex_sets]
+    examined = pruned = 0
+    for combo in itertools.combinations(range(len(masks)), t):
+        examined += 1
+        union = 0
+        for i in combo:
+            union |= masks[i]
+        if union.bit_count() < kappa:
+            pruned += 1
+            continue
+        removed = []
+        for i in combo:
+            removed += vertex_sets[i]
+        if not connected(removed):
+            return combo, examined, pruned
+    return None, examined, pruned
 
 
 def exact_structure_connectivity(
@@ -215,43 +177,42 @@ def exact_structure_connectivity(
         raise ParameterError(f"size budget must be >= 1, got {size_budget}")
     start = time.perf_counter()
     candidates = enumerate_candidates(g, m, mode)
-    search = _FamilySearch(g, [tuple(sorted(c.vertices)) for c in candidates], use_modular)
-    value = None
+    vertex_sets = [tuple(sorted(c.vertices)) for c in candidates]
+    kappa = vertex_connectivity(g)
+    survivors = SurvivorCheck(g, use_modular)
+    examined = pruned = 0
     certificate = None
-    lower = 1
     for t in range(1, size_budget + 1):
-        hit = search.sweep(t)
+        hit, t_examined, t_pruned = _sweep(vertex_sets, t, kappa, survivors.connected)
+        examined += t_examined
+        pruned += t_pruned
         if hit is not None:
-            family = FaultFamily(
-                elements=[candidates[i] for i in hit], pattern_m=m, mode=mode
-            )
-            report = apply_cut(g, family)
-            if not report.is_cut:
-                raise AssertionError(
-                    "search returned a family the plain census rejects; "
-                    "connectivity routes disagree"
-                )
-            value = t
-            certificate = family
-            lower = t
+            certificate = FaultFamily([candidates[i] for i in hit], pattern_m=m, mode=mode)
+            if not apply_cut(g, certificate).is_cut:
+                raise AssertionError("the plain census rejects the sweep's certificate")
             break
-        lower = t + 1
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    notes = search.notes()
-    if value is None:
+    notes = {
+        "prune_rule": (
+            "subsets with removed-vertex union smaller than the exact "
+            f"vertex connectivity ({kappa}, computed by flow) cannot "
+            "disconnect and are skipped"
+        ),
+        "connectivity_method": survivors.method,
+    }
+    if certificate is None:
         notes["budget_exhausted"] = True
+    value = None if certificate is None else len(certificate)
     return OracleResult(
-        dim_d=g.dim.d,
-        dim_n=g.dim.n,
+        dim=g.dim,
         pattern_m=m,
         mode=mode,
         value=value,
-        proven_lower_bound=lower,
+        proven_lower_bound=size_budget + 1 if value is None else value,
         certificate=certificate,
         candidates=len(candidates),
-        examined=search.examined,
-        pruned=search.pruned,
-        connectivity_checks=search.checks,
+        examined=examined,
+        pruned=pruned,
         elapsed_ms=elapsed_ms,
         notes=notes,
     )
@@ -300,6 +261,20 @@ class RemovalReport:
     def holds(self) -> bool:
         return not self.violations
 
+    @classmethod
+    def from_oracle(cls, result: OracleResult, budget: int) -> RemovalReport:
+        """The exhaustive removal check as the K_{1,1}-substructure oracle's
+        sweep at this budget: its certificate, if any, is the one violation."""
+        cert = result.certificate
+        return cls(
+            budget=budget,
+            mode="exhaustive",
+            checked=result.examined,
+            pruned=result.pruned,
+            violations=[] if cert is None else [RemovalSpec.from_family(cert)],
+            notes={k: v for k, v in result.notes.items() if k != "budget_exhausted"},
+        )
+
 
 def check_vertex_edge_removals(
     g: Graph,
@@ -326,15 +301,8 @@ def check_vertex_edge_removals(
     if budget is None:
         budget = g.dim.d
     if budget_mode == "exhaustive":
-        result = exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget)
-        cert = result.certificate
-        return RemovalReport(
-            budget=budget,
-            mode=budget_mode,
-            checked=result.examined,
-            pruned=result.pruned,
-            violations=[] if cert is None else [RemovalSpec.from_family(cert)],
-            notes={k: v for k, v in result.notes.items() if k != "budget_exhausted"},
+        return RemovalReport.from_oracle(
+            exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget), budget
         )
     if budget_mode != "sample":
         raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")

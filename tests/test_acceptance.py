@@ -23,6 +23,7 @@ from fdsc import (
 )
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE
 from fdsc.labels import neighbor_labels
+from fdsc.oracle import RemovalReport
 from refimpl import ref_neighbors
 
 
@@ -108,11 +109,18 @@ def test_criterion_5_fast_no_single_element_cut(fdsc8):
     )
 
 
-@pytest.mark.slow
-def test_criterion_5_slow_edge_family_lower_bound(fdsc8):
+@pytest.fixture(scope="session")
+def fdsc8_edge_sweep(fdsc8):
+    """The budget-3 K_{1,1}-substructure sweep of FDSC_8, run once: 5-slow
+    asserts on the oracle result, 7-exhaustive on the removal check it is."""
     t0 = time.perf_counter()
     result = exact_structure_connectivity(fdsc8, 1, SUBSTRUCTURE, size_budget=3)
-    elapsed = time.perf_counter() - t0
+    return result, time.perf_counter() - t0
+
+
+@pytest.mark.slow
+def test_criterion_5_slow_edge_family_lower_bound(fdsc8_edge_sweep):
+    result, elapsed = fdsc8_edge_sweep
     ok = result.value is None and result.proven_lower_bound == 4 and elapsed < 2700
     report(
         "5-slow",
@@ -154,10 +162,12 @@ def test_criterion_6_verification_suite(d, fdsc4, fdsc8, fdsc16):
 
 
 @pytest.mark.slow
-def test_criterion_7_removals_exhaustive_n8(fdsc8):
-    t0 = time.perf_counter()
-    rep = check_vertex_edge_removals(fdsc8, "exhaustive", budget=3)
-    elapsed = time.perf_counter() - t0
+def test_criterion_7_removals_exhaustive_n8(fdsc8_edge_sweep):
+    # check_vertex_edge_removals(fdsc8, "exhaustive", budget=3) is this
+    # mapping of the shared sweep (tier-1 test_small_exhaustive_holds
+    # checks the delegation at budgets 1 and 2)
+    result, elapsed = fdsc8_edge_sweep
+    rep = RemovalReport.from_oracle(result, 3)
     ok = rep.holds and elapsed < 1800
     report(
         "7-exhaustive",

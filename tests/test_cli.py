@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -198,6 +201,18 @@ class TestVerify:
         assert code == 0
         assert obj["report"]["is_cut"] is True
         assert obj["report"]["isolated"] == "0000"
+
+    def test_malformed_family_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mode": "structure", "m": 0, "elements": [{"leaves": []}]}))
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdsc", "verify", "--d", "2", "--family", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "malformed family JSON" in proc.stderr
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -254,3 +254,6 @@ class TestJson:
             family_from_json({"mode": "structure"}, D2)
         with pytest.raises(ParameterError):
             family_from_json({"mode": "weird", "m": 1, "elements": []}, D2)
+        for elements in ([{"leaves": []}], [7], [{"center": 1011}], None):
+            with pytest.raises(ParameterError, match="malformed family JSON"):
+                family_from_json({"mode": "structure", "m": 0, "elements": elements}, D2)
