@@ -34,7 +34,6 @@ from .labels import (
     DSC,
     FDSC,
     Dim,
-    NeighborKind,
     apex_pair,
     e1_neighbor,
     external_neighbor,
@@ -66,7 +65,6 @@ __all__ = [
     "FaultFamily",
     "Graph",
     "LabelParseError",
-    "NeighborKind",
     "OracleResult",
     "ParameterError",
     "RemovalSpec",

@@ -32,7 +32,6 @@ from .labels import (
     complement_address,
     concat_halves,
     e1_neighbor,
-    ek,
     external_neighbor,
     f_neighbor,
     format_label,
@@ -117,7 +116,8 @@ def _timed(name: str, fn) -> CheckResult:
 def check_label_invariants(dim: Dim) -> list[CheckResult]:
     """Neighbor maps are fixed-point-free involutions, neighbor lists have
     the right degree with pairwise-distinct members, adjacency is symmetric
-    with matching kinds, and the top-level swap complements exactly s_1 s_2
+    with matching kinds (v at position i of N(u) exactly when u is at
+    position i of N(v)), and the top-level swap complements exactly s_1 s_2
     (so e1 after it equals the folded map)."""
     labels, scope = _labels_to_scan(dim)
     expected_degree = dim.d + 2
@@ -138,7 +138,7 @@ def check_label_invariants(dim: Dim) -> list[CheckResult]:
     def degree_and_symmetry():
         for u in labels:
             nbrs = neighbor_set(u, dim)
-            seen_labels = {v for _, v in nbrs}
+            seen_labels = set(nbrs)
             if len(nbrs) != expected_degree or len(seen_labels) != expected_degree:
                 return FAIL, (
                     f"{format_label(u, dim)} has {len(seen_labels)} distinct "
@@ -146,11 +146,11 @@ def check_label_invariants(dim: Dim) -> list[CheckResult]:
                 )
             if u in seen_labels:
                 return FAIL, f"{format_label(u, dim)} adjacent to itself"
-            for kind, v in nbrs:
-                if (kind, u) not in neighbor_set(v, dim):
+            for i, v in enumerate(nbrs):
+                if neighbor_set(v, dim)[i] != u:
                     return FAIL, (
-                        f"asymmetric {kind} edge {format_label(u, dim)} -- "
-                        f"{format_label(v, dim)}"
+                        f"asymmetric edge {format_label(u, dim)} -- "
+                        f"{format_label(v, dim)} at neighbor position {i}"
                     )
         return PASS, f"{scope}; degree {expected_degree} everywhere"
 
@@ -249,8 +249,8 @@ def check_no_common_neighbor(dim: Dim) -> CheckResult:
     def run():
         for b in modules:
             u, v = apex_pair(b, dim)
-            nu = {w for _, w in neighbor_set(u, dim, FDSC)}
-            nv = {w for _, w in neighbor_set(v, dim, FDSC)}
+            nu = set(neighbor_set(u, dim, FDSC))
+            nv = set(neighbor_set(v, dim, FDSC))
             common = nu & nv
             if common:
                 sample = ", ".join(format_label(w, dim) for w in sorted(common))
@@ -268,18 +268,17 @@ def module_decomposition_violation(dim: Dim) -> str | None:
     """Prove the module decomposition of FDSC_n (n >= 4) at label level.
 
     In every module: each vertex's interior edges are those of its inner
-    label in FDSC_(n/2), kinds included (swap level k becomes k+1, so the
-    half-width cross edge becomes ek(2)); each vertex has exactly one cross
-    edge; and the cross edges reach every other module.  Returns the first
-    violation, naming its module, or None.
+    label in FDSC_(n/2), kinds (neighbor positions) included: swap level k
+    becomes k+1, so the half-width cross edge becomes the level-2 swap;
+    each vertex has exactly one cross edge; and the cross edges reach every
+    other module.  Returns the first violation, naming its module, or None.
     """
     half_dim = make_dim(dim.d - 1)
     half, mask, size = dim.half, dim.module_mask, 1 << dim.half
+    # half-width position -> full-width position (level k -> k+1, cross edge -> level 2)
+    widen = [0, *range(2, dim.d), 1, dim.d + 1]
     copies = [
-        {
-            y: ek((kind.k or 1) + 1) if kind.tag in ("ek", "external") else kind
-            for kind, y in neighbor_set(x, half_dim, FDSC)
-        }
+        {y: widen[i] for i, y in enumerate(neighbor_set(x, half_dim, FDSC))}
         for x in range(size)
     ]
     for b in range(size):
@@ -288,9 +287,9 @@ def module_decomposition_violation(dim: Dim) -> str | None:
             u = (x << half) | b
             interior = {}
             cross = []
-            for kind, v in neighbor_set(u, dim, FDSC):
+            for i, v in enumerate(neighbor_set(u, dim, FDSC)):
                 if v & mask == b:
-                    interior[v >> half] = kind
+                    interior[v >> half] = i
                 else:
                     cross.append(v)
             if interior != copies[x]:

@@ -95,17 +95,18 @@ def cmd_cut(args) -> int:
         "u": args.u,
         "verify": args.verify,
     }
-    if args.pattern == "k1":
-        u = parse_label(args.u, dim) if args.u else 0
-        family = k1_cut(u, dim)
-    elif args.pattern == "k11":
-        u = parse_label(args.u, dim) if args.u else 0
-        family = k11_cut(u, dim)
-    else:
+    inapplicable = ("u",) if args.pattern == "k1m" else ("m", "module")
+    for flag in inapplicable:
+        if getattr(args, flag) is not None:
+            raise ParameterError(f"--{flag} does not apply to pattern {args.pattern}")
+    if args.pattern == "k1m":
         if args.m is None:
             raise ParameterError("pattern k1m needs --m")
         b1 = _parse_module_address(args.module, dim) if args.module else 0
         family, u = k1m_cut(dim, args.m, b1)
+    else:
+        u = parse_label(args.u, dim) if args.u else 0
+        family = (k1_cut if args.pattern == "k1" else k11_cut)(u, dim)
     ok, violation = validate_family(family, dim)
     result = {
         "version": __version__,

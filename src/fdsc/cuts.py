@@ -36,9 +36,8 @@ from .labels import (
     external_neighbor,
     f_neighbor,
     format_label,
-    neighbor_labels,
+    neighbor_set,
     parse_label,
-    swap_neighbor,
 )
 
 STRUCTURE = "structure"
@@ -87,23 +86,9 @@ class CutReport:
     isolated_target: VertexLabel | None
 
 
-def _neighbor_by_index(u: VertexLabel, j, dim: Dim) -> VertexLabel:
-    """Neighbor u_j: j = 1 flips s_1, j in [2..d] is the level-j swap,
-    j = d+1 the cross edge, and j = "f" flips s_2."""
-    if j == "f":
-        return f_neighbor(u, dim)
-    if j == 1:
-        return e1_neighbor(u, dim)
-    if 2 <= j <= dim.d:
-        return swap_neighbor(u, j, dim)
-    if j == dim.d + 1:
-        return external_neighbor(u, dim)
-    raise ParameterError(f"neighbor index {j!r} out of range for d={dim.d}")
-
-
 def k1_cut(u: VertexLabel, dim: Dim) -> FaultFamily:
     """The d+2 singleton stars on N(u); removing them isolates u."""
-    elements = [star(v) for v in neighbor_labels(u, dim, FDSC)]
+    elements = [star(v) for v in neighbor_set(u, dim, FDSC)]
     return FaultFamily(elements=elements, pattern_m=0, mode=STRUCTURE)
 
 
@@ -122,8 +107,7 @@ def k11_cut(u: VertexLabel, dim: Dim) -> FaultFamily:
         )
     u1 = e1_neighbor(u, dim)
     elements = [star(u1, [external_neighbor(u1, dim)])]
-    for j in range(2, dim.d + 2):
-        uj = _neighbor_by_index(u, j, dim)
+    for uj in neighbor_set(u, dim)[1 : dim.d + 1]:
         elements.append(star(uj, [e1_neighbor(uj, dim)]))
     return FaultFamily(elements=elements, pattern_m=1, mode=STRUCTURE)
 
@@ -162,7 +146,7 @@ def _fillers(
         return []
     excluded = set(named)
     excluded.add(f_neighbor(center, dim))
-    pool = sorted(v for v in neighbor_labels(center, dim, FDSC) if v not in excluded)
+    pool = sorted(v for v in neighbor_set(center, dim, FDSC) if v not in excluded)
     if len(pool) < count:
         raise AssertionError(
             f"star at {format_label(center, dim)} has only {len(pool)} "
@@ -212,7 +196,7 @@ def k1m_cut(
     d = dim.d
 
     def nbr(v, j):
-        return _neighbor_by_index(v, j, dim)
+        return neighbor_set(v, dim)[j - 1]
 
     raw: list[tuple[VertexLabel, list[VertexLabel]]] = []
     if d % 2 == 1:
@@ -262,7 +246,7 @@ def validate_family(
                 f"element {i}: substructure mode allows at most {fam.pattern_m} "
                 f"leaves, got {len(el.leaves)}"
             )
-        nbrs = set(neighbor_labels(el.center, dim, variant))
+        nbrs = set(neighbor_set(el.center, dim, variant))
         for leaf in el.sorted_leaves():
             if leaf not in nbrs:
                 return False, (
@@ -304,10 +288,12 @@ def family_to_json(fam: FaultFamily, dim: Dim) -> dict:
 def family_from_json(obj: dict, dim: Dim) -> FaultFamily:
     try:
         mode = obj["mode"]
-        m = int(obj["m"])
+        m = obj["m"]
         raw_elements = obj["elements"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed family JSON: {exc}") from exc
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ParameterError(f"malformed family JSON: m must be an integer, got {m!r}")
     if mode not in MODES:
         raise ParameterError(f"family mode must be one of {MODES}, got {mode!r}")
     elements = []

@@ -23,11 +23,12 @@ from .labels import (
     concat_halves,
     format_label,
     module_address,
-    neighbor_labels,
     neighbor_set,
 )
 
 MAX_BUILD_BITS = 16
+# How many members of the smallest component a census lists.
+_MEMBER_CAP = 16
 
 
 @dataclass
@@ -62,7 +63,7 @@ class Graph:
 class ComponentCensus:
     component_count: int
     component_sizes: list[int]  # descending
-    smallest_component_members: list[int]  # capped
+    smallest_component_members: list[int]  # capped at _MEMBER_CAP
 
     @property
     def surviving(self) -> int:
@@ -82,13 +83,11 @@ def build_graph(dim: Dim, variant: str = FDSC) -> Graph:
             f"has 2^{dim.n} vertices (use the label-level operations instead)"
         )
     size = 1 << dim.n
-    adj = [sorted(neighbor_labels(u, dim, variant)) for u in range(size)]
+    adj = [sorted(neighbor_set(u, dim, variant)) for u in range(size)]
     return Graph(dim=dim, variant=variant, adj=adj)
 
 
-def components_after_removal(
-    g: Graph, removed, member_cap: int = 16
-) -> ComponentCensus:
+def components_after_removal(g: Graph, removed) -> ComponentCensus:
     """Census of the subgraph induced by the vertices outside ``removed``."""
     alive = bytearray([1]) * g.vertex_count
     for u in removed:
@@ -112,7 +111,7 @@ def components_after_removal(
                     queue.append(v)
         comps.append((len(members), start))
         if smallest is None or len(members) < smallest[0]:
-            smallest = (len(members), sorted(members)[:member_cap])
+            smallest = (len(members), sorted(members)[:_MEMBER_CAP])
     sizes = sorted((s for s, _ in comps), reverse=True)
     return ComponentCensus(
         component_count=len(comps),
@@ -358,7 +357,7 @@ def cross_edges(
         edges.append((concat_halves(bi, bi, dim), concat_halves(bj, bj, dim)))
     edges.append((concat_halves(bj, bi, dim), concat_halves(bi, bj, dim)))
     for u, v in edges:
-        if v not in neighbor_labels(u, dim, FDSC):
+        if v not in neighbor_set(u, dim, FDSC):
             raise AssertionError(
                 f"cross-edge rule produced a non-edge ({u}, {v}) for n={dim.n}"
             )

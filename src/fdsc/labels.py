@@ -52,10 +52,6 @@ class Dim:
     def module_mask(self) -> int:
         return (1 << self.half) - 1
 
-    @property
-    def label_mask(self) -> int:
-        return (1 << self.n) - 1
-
 
 def make_dim(d: int) -> Dim:
     """Validate d and derive the label width n = 2^d (capped at 64 bits)."""
@@ -67,34 +63,6 @@ def make_dim(d: int) -> Dim:
             f"d={d} gives n={n} bits; labels are capped at n <= {MAX_LABEL_BITS} (d <= 6)"
         )
     return Dim(d=d, n=n)
-
-
-@dataclass(frozen=True)
-class NeighborKind:
-    """Which adjacency rule produced a neighbor.
-
-    ``tag`` is one of "e1", "ek", "external", "ef"; ``k`` is the swap level
-    and is set only for tag "ek" (interior swaps, k in [2..d]).  The k = 1
-    swap is tagged "external" rather than "ek" so that the swap level is
-    never confused with the neighbor's position in the neighbor list.
-    """
-
-    tag: str
-    k: int | None = None
-
-    def __str__(self) -> str:
-        return f"ek({self.k})" if self.tag == "ek" else self.tag
-
-
-E1 = NeighborKind("e1")
-EXTERNAL = NeighborKind("external")
-EF = NeighborKind("ef")
-
-
-def ek(k: int) -> NeighborKind:
-    if k < 2:
-        raise ParameterError(f"interior swap kind needs k >= 2, got {k}")
-    return NeighborKind("ek", k)
 
 
 def check_label(u: VertexLabel, dim: Dim) -> None:
@@ -136,28 +104,24 @@ def external_neighbor(u: VertexLabel, dim: Dim) -> VertexLabel:
     return swap_neighbor(u, 1, dim)
 
 
-def neighbor_set(
-    u: VertexLabel, dim: Dim, variant: str = FDSC
-) -> list[tuple[NeighborKind, VertexLabel]]:
-    """All neighbors of u with their kinds.
+def neighbor_set(u: VertexLabel, dim: Dim, variant: str = FDSC) -> list[VertexLabel]:
+    """All neighbors of u; a neighbor's position is the kind of its edge.
 
-    Order: e1, interior swaps k = 2..d, external, and (FDSC only) the
-    folded neighbor.  Degree is d+2 for FDSC and d+1 for DSC.
+    Position 0 is u_1 (flip s_1), position k-1 the level-k swap for
+    k = 2..d, position d the cross edge (level-1 swap), and position d+1
+    (FDSC only) the folded neighbor u_f.  Every map is an involution, so
+    v = neighbor_set(u)[i] exactly when u = neighbor_set(v)[i].  Degree is
+    d+2 for FDSC and d+1 for DSC.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    out: list[tuple[NeighborKind, VertexLabel]] = [(E1, e1_neighbor(u, dim))]
+    out = [e1_neighbor(u, dim)]
     for k in range(2, dim.d + 1):
-        out.append((ek(k), swap_neighbor(u, k, dim)))
-    out.append((EXTERNAL, swap_neighbor(u, 1, dim)))
+        out.append(swap_neighbor(u, k, dim))
+    out.append(swap_neighbor(u, 1, dim))
     if variant == FDSC:
-        out.append((EF, f_neighbor(u, dim)))
+        out.append(f_neighbor(u, dim))
     return out
-
-
-def neighbor_labels(u: VertexLabel, dim: Dim, variant: str = FDSC) -> list[VertexLabel]:
-    """Neighbor labels only, in ``neighbor_set`` order."""
-    return [v for _, v in neighbor_set(u, dim, variant)]
 
 
 def module_address(u: VertexLabel, dim: Dim) -> ModuleAddress:

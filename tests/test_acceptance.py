@@ -22,7 +22,7 @@ from fdsc import (
     vertex_connectivity,
 )
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE
-from fdsc.labels import neighbor_labels
+from fdsc.labels import neighbor_set
 from fdsc.oracle import RemovalReport
 from refimpl import ref_neighbors
 
@@ -198,13 +198,13 @@ def test_criterion_8_label_level_construction_scaling():
         dim = make_dim(d)
         fam = k11_cut(0, dim)
         okv, _ = validate_family(fam, dim)
-        nbrs = set(neighbor_labels(0, dim))
+        nbrs = set(neighbor_set(0, dim))
         if not (len(fam) == d + 1 and okv and nbrs <= fam.vertex_union()):
             bad.append(("k11", d))
         for m in range(2, d + 2):
             fam, u = k1m_cut(dim, m, 0)
             okv, _ = validate_family(fam, dim)
-            covered = set(neighbor_labels(u, dim)) <= fam.vertex_union()
+            covered = set(neighbor_set(u, dim)) <= fam.vertex_union()
             if not (len(fam) == d // 2 + 1 and okv and covered):
                 bad.append(("k1m", d, m))
     elapsed = time.perf_counter() - t0

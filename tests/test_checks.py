@@ -11,7 +11,7 @@ from fdsc.checks import (
     check_neighborhood_structure,
     check_no_common_neighbor,
 )
-from fdsc.labels import EXTERNAL, ek, external_neighbor, neighbor_set
+from fdsc.labels import external_neighbor, neighbor_set
 from fdsc.modcheck import ModularChecker
 
 D2, D3 = make_dim(2), make_dim(3)
@@ -89,15 +89,15 @@ def _fault(name, dim, b=0x5):
             return out
         if name == "interior":
             # the e1 neighbor moves to a non-adjacent vertex of the module
-            taken = {w for _, w in out} | {u}
-            out[0] = (out[0][0], next(w for w in members if w not in taken))
+            taken = set(out) | {u}
+            out[0] = next(w for w in members if w not in taken)
         elif name == "kind":
-            out[1] = (ek(3), out[1][1])  # the ek(2) neighbor keeps its label
+            out[1], out[2] = out[2], out[1]  # level-2 and level-3 swaps trade positions
         elif name == "two-cross-edges":
-            out.append((EXTERNAL, u ^ 1))
+            out.append(u ^ 1)
         else:
             # the cross edge lands in the complement module instead
-            out = [(k, members[1] ^ mask if k == EXTERNAL else w) for k, w in out]
+            out[vdim.d] = members[1] ^ mask
         return out
 
     return faulty
@@ -123,7 +123,9 @@ class TestModuleDecompositionProof:
         assert fact in violation
         with pytest.raises(AssertionError, match="module 0x5:"):
             ModularChecker(D3)
-        assert by_name(run_all(D3).checks)["module-decomposition"].status == FAIL
+        results = by_name(run_all(D3).checks)
+        assert results["module-decomposition"].status == FAIL
+        assert results["label-degree-symmetry"].status == FAIL
 
 
 class TestNeighborhoodStructure:

@@ -94,6 +94,17 @@ class TestCut:
         code, _, err = run_cli(capsys, "cut", "--d", "2", "--pattern", "k1m")
         assert code == 2
 
+    def test_flag_of_another_pattern_exits_2(self, capsys):
+        for pattern, flag, value in (
+            ("k1", "--m", "3"),
+            ("k11", "--module", "01"),
+            ("k1m --m 2", "--u", "0000"),
+        ):
+            argv = ["cut", "--d", "2", "--pattern", *pattern.split(), flag, value]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"{flag} does not apply" in err
+
     def test_deterministic_output(self, capsys):
         _, a, _ = run_cli(capsys, "cut", "--d", "3", "--pattern", "k11", "--verify")
         _, b, _ = run_cli(capsys, "cut", "--d", "3", "--pattern", "k11", "--verify")

@@ -21,7 +21,7 @@ from fdsc.cuts import (
     family_to_json,
     star,
 )
-from fdsc.labels import complement_address, concat_halves, neighbor_labels
+from fdsc.labels import complement_address, concat_halves
 
 D1, D2, D3 = make_dim(1), make_dim(2), make_dim(3)
 
@@ -65,7 +65,7 @@ class TestK11:
             ok, violation = validate_family(fam, dim)
             assert ok, violation
             union = fam.vertex_union()
-            nbrs = set(neighbor_labels(u, dim))
+            nbrs = set(neighbor_set(u, dim))
             assert nbrs <= union
             assert u not in union
             # exactly one element carries two neighbors of u
@@ -112,7 +112,7 @@ class TestK1m:
                 assert ok, violation
                 assert all(len(el.leaves) == m for el in fam.elements)
                 union = fam.vertex_union()
-                assert set(neighbor_labels(u, dim)) <= union
+                assert set(neighbor_set(u, dim)) <= union
                 assert u not in union
                 assert u == concat_halves(complement_address(b1, dim), b1, dim)
 
@@ -257,3 +257,6 @@ class TestJson:
         for elements in ([{"leaves": []}], [7], [{"center": 1011}], None):
             with pytest.raises(ParameterError, match="malformed family JSON"):
                 family_from_json({"mode": "structure", "m": 0, "elements": elements}, D2)
+        for m in (1.7, True, "2", None):
+            with pytest.raises(ParameterError, match="malformed family JSON"):
+                family_from_json({"mode": "structure", "m": m, "elements": []}, D2)

@@ -86,11 +86,6 @@ class TestComponents:
         assert census.component_sizes == [11, 1]
         assert census.smallest_component_members == [0]
 
-    def test_member_cap(self, fdsc4):
-        census = components_after_removal(fdsc4, set(), member_cap=3)
-        assert census.component_sizes == [16]
-        assert len(census.smallest_component_members) == 3
-
 
 def brute_force_connectivity(g):
     """Independent route: smallest vertex subset whose removal disconnects
