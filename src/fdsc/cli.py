@@ -102,10 +102,10 @@ def cmd_cut(args) -> int:
     if args.pattern == "k1m":
         if args.m is None:
             raise ParameterError("pattern k1m needs --m")
-        b1 = _parse_module_address(args.module, dim) if args.module else 0
+        b1 = 0 if args.module is None else _parse_module_address(args.module, dim)
         family, u = k1m_cut(dim, args.m, b1)
     else:
-        u = parse_label(args.u, dim) if args.u else 0
+        u = 0 if args.u is None else parse_label(args.u, dim)
         family = (k1_cut if args.pattern == "k1" else k11_cut)(u, dim)
     ok, violation = validate_family(family, dim)
     result = {

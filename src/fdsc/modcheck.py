@@ -28,6 +28,11 @@ from ``checks.module_decomposition_violation``, the same proof the
 template is connected.  Given those, ``connected`` is exact whenever at
 least one module is intact; otherwise it returns None.
 
+The same verified facts give a lower bound on the vertex connectivity of
+the whole graph (``module_induction_bound``) from a flow on the template
+alone, so no flow ever runs on the 2^n-vertex graph; the constructor
+exposes it as ``kappa_lower_bound``.
+
 ``SurvivorCheck`` is the one "is the survivor graph connected" entry point
 that the oracle's sweeps and probes call: it decides when the checker
 applies (FDSC_n with n >= 8) and falls back to a plain component census
@@ -38,10 +43,48 @@ from __future__ import annotations
 
 from .checks import module_decomposition_violation
 from .errors import ParameterError
-from .graph import Graph, build_graph, components_after_removal, is_connected
+from .graph import (
+    Graph,
+    build_graph,
+    components_after_removal,
+    is_connected,
+    vertex_connectivity,
+)
 from .labels import FDSC, Dim, external_neighbor, make_dim
 
 _CACHE_SOFT_CAP = 200_000
+
+
+def module_induction_bound(
+    template_kappa: int, template_size: int, module_count: int
+) -> int | None:
+    """Lower bound on kappa(G) from the connectivity of one module.
+
+    Let G split into M = ``module_count`` modules, each inducing a copy of
+    a template T with ``template_size`` vertices and vertex connectivity
+    ``template_kappa``; let every vertex have exactly one cross edge (an
+    edge to another module) and every pair of modules be joined by at
+    least one cross edge.  If 0 < kappa(T) < |T| and M - 1 > kappa(T),
+    then kappa(G) >= kappa(T) + 1, which is returned; otherwise None.
+
+    Proof: remove a set S with |S| <= kappa(T).
+
+    * S lies in one module.  Every other module is intact, hence connected
+      (kappa(T) > 0), and any two intact modules are joined by a cross
+      edge with both endpoints intact, so their union is connected.  Every
+      survivor of the touched module has its cross edge into an intact
+      module.
+    * S touches two or more modules.  Each module loses at most
+      kappa(T) - 1 < |T| vertices, so what is left of it is non-empty and
+      connected.  Each removed vertex kills one cross edge, so at least
+      K_M minus kappa(T) edges of the module quotient survive, and K_M
+      minus fewer than M - 1 edges is connected.
+
+    Either way G - S is connected with at least two vertices.
+    """
+    if 0 < template_kappa < template_size and module_count - 1 > template_kappa:
+        return template_kappa + 1
+    return None
 
 
 class ModularChecker:
@@ -69,6 +112,9 @@ class ModularChecker:
             raise AssertionError(violation)
         if not is_connected(self.template):
             raise AssertionError("module template graph is not connected")
+        self.kappa_lower_bound = module_induction_bound(
+            vertex_connectivity(self.template), self.template.vertex_count, self.module_count
+        )
         # removed-inner-mask -> tuple of components (tuples of inner labels)
         self._comp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 

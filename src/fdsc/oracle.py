@@ -8,9 +8,15 @@ with no hit is an exhaustive proof that no t-element family disconnects.
 Two sound prunes keep the big sweeps tractable, and both are recorded in
 the result so a reviewer can audit the exhaustiveness argument:
 
-* subsets whose removed-vertex union is smaller than the graph's exact
-  vertex connectivity (computed by flow, independently of this search)
-  cannot disconnect anything and are skipped;
+* subsets whose removed-vertex union is smaller than a proven lower bound
+  on the graph's vertex connectivity cannot disconnect anything and are
+  skipped.  Where the module-decomposition checker applies (FDSC_n with
+  n >= 8), the bound is ``modcheck.module_induction_bound``: kappa of the
+  half-width template, by flow on the template, plus one, which equals
+  the minimum degree and so is exact at n = 8 and n = 16.  Everywhere
+  else (DSC_n, n <= 4, ``use_modular=False``) the exact value is computed
+  by flow on the whole graph, independently of this search.  The report's
+  ``prune_rule`` names the route that answered;
 * connectivity of the survivor graph is decided by the module
   decomposition checker (``modcheck``) whose preconditions are verified
   computationally at construction; any subset it cannot decide falls back
@@ -178,8 +184,21 @@ def exact_structure_connectivity(
     start = time.perf_counter()
     candidates = enumerate_candidates(g, m, mode)
     vertex_sets = [tuple(sorted(c.vertices)) for c in candidates]
-    kappa = vertex_connectivity(g)
     survivors = SurvivorCheck(g, use_modular)
+    checker = survivors.checker
+    if checker is not None and checker.kappa_lower_bound is not None:
+        kappa = checker.kappa_lower_bound
+        route = (
+            f"module induction: kappa(FDSC_{checker.half}) + 1 by flow on the "
+            "template, preconditions verified"
+        )
+        # the minimum degree is an upper bound, so meeting it is exact
+        exact = kappa == min(map(len, g.adj))
+        if exact:
+            route += ", equals the minimum degree"
+    else:
+        kappa = vertex_connectivity(g)
+        route, exact = "computed by flow", True
     examined = pruned = 0
     certificate = None
     for t in range(1, size_budget + 1):
@@ -194,9 +213,9 @@ def exact_structure_connectivity(
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     notes = {
         "prune_rule": (
-            "subsets with removed-vertex union smaller than the exact "
-            f"vertex connectivity ({kappa}, computed by flow) cannot "
-            "disconnect and are skipped"
+            "subsets with removed-vertex union smaller than the "
+            + ("exact vertex connectivity" if exact else "proven vertex-connectivity lower bound")
+            + f" ({kappa}, {route}) cannot disconnect and are skipped"
         ),
         "connectivity_method": survivors.method,
     }

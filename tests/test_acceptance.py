@@ -23,6 +23,7 @@ from fdsc import (
 )
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE
 from fdsc.labels import neighbor_set
+from fdsc.modcheck import ModularChecker
 from fdsc.oracle import RemovalReport
 from refimpl import ref_neighbors
 
@@ -49,12 +50,18 @@ def test_criterion_1_census():
     report("1", "census and regularity for n in {2,4,8,16}", ok, f"{elapsed:.1f}s")
 
 
-def test_criterion_2_point_connectivity(fdsc2, fdsc4, fdsc8):
+def test_criterion_2_point_connectivity(fdsc2, fdsc4, fdsc8, fdsc16):
     t0 = time.perf_counter()
     got = [vertex_connectivity(g) for g in (fdsc2, fdsc4, fdsc8)]
+    # n = 16 by module induction (a flow on the FDSC_8 template only): a
+    # lower bound that meets the minimum degree, an upper bound, is exact
+    bound = ModularChecker(make_dim(4)).kappa_lower_bound
+    degree = min(map(len, fdsc16.adj))
+    got.append(bound if bound == degree else f"bound {bound}, minimum degree {degree}")
     elapsed = time.perf_counter() - t0
-    ok = got == [3, 4, 5] and elapsed < 120
-    report("2", "exact vertex connectivity 3,4,5 for n=2,4,8", ok, f"got {got}, {elapsed:.1f}s")
+    ok = got == [3, 4, 5, 6] and elapsed < 120
+    desc = "exact vertex connectivity 3,4,5,6 for n=2,4,8,16"
+    report("2", desc, ok, f"got {got}, {elapsed:.1f}s")
 
 
 def test_criterion_3_oracle_exact_values(fdsc2, fdsc4):

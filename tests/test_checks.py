@@ -1,6 +1,6 @@
 import pytest
 
-from fdsc import checks, make_dim, parse_label, run_all
+from fdsc import checks, exact_structure_connectivity, make_dim, parse_label, run_all
 from fdsc.checks import (
     FAIL,
     PASS,
@@ -11,6 +11,7 @@ from fdsc.checks import (
     check_neighborhood_structure,
     check_no_common_neighbor,
 )
+from fdsc.cuts import STRUCTURE
 from fdsc.labels import external_neighbor, neighbor_set
 from fdsc.modcheck import ModularChecker
 
@@ -116,13 +117,16 @@ class TestModuleDecompositionProof:
             ("missed-module", "do not reach every other module"),
         ],
     )
-    def test_one_wrong_neighbor_fails_both_users(self, name, fact, monkeypatch):
+    def test_one_wrong_neighbor_fails_both_users(self, name, fact, monkeypatch, fdsc8):
         monkeypatch.setattr(checks, "neighbor_set", _fault(name, D3))
         violation = checks.module_decomposition_violation(D3)
         assert violation is not None and violation.startswith("module 0x5:"), violation
         assert fact in violation
         with pytest.raises(AssertionError, match="module 0x5:"):
             ModularChecker(D3)
+        # no unproven module-induction bound reaches the oracle's prune
+        with pytest.raises(AssertionError, match="module 0x5:"):
+            exact_structure_connectivity(fdsc8, 0, STRUCTURE, 1)
         results = by_name(run_all(D3).checks)
         assert results["module-decomposition"].status == FAIL
         assert results["label-degree-symmetry"].status == FAIL

@@ -105,6 +105,17 @@ class TestCut:
             assert code == 2 and out == ""
             assert f"{flag} does not apply" in err
 
+    def test_empty_label_exits_2(self, capsys):
+        # an empty --u / --module is a malformed label, not the all-zero default
+        for argv, message in (
+            (("--pattern", "k1", "--u", ""), "label must be exactly 4 characters"),
+            (("--pattern", "k11", "--u", ""), "label must be exactly 4 characters"),
+            (("--pattern", "k1m", "--m", "2", "--module", ""), "module address must be"),
+        ):
+            code, out, err = run_cli(capsys, "cut", "--d", "2", *argv)
+            assert code == 2 and out == ""
+            assert message in err
+
     def test_deterministic_output(self, capsys):
         _, a, _ = run_cli(capsys, "cut", "--d", "3", "--pattern", "k11", "--verify")
         _, b, _ = run_cli(capsys, "cut", "--d", "3", "--pattern", "k11", "--verify")

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsc import ParameterError, components_after_removal, make_dim
-from fdsc.modcheck import ModularChecker, SurvivorCheck
+from fdsc import ParameterError, components_after_removal, make_dim, vertex_connectivity
+from fdsc.modcheck import ModularChecker, SurvivorCheck, module_induction_bound
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,27 @@ class TestConstruction:
             ModularChecker(make_dim(2))
 
     def test_builds_n16(self):
-        ModularChecker(make_dim(4))
+        assert ModularChecker(make_dim(4)).kappa_lower_bound == 6
+
+
+class TestModuleInductionBound:
+    @pytest.mark.parametrize(
+        "template_kappa,template_size,module_count,bound",
+        [
+            (4, 16, 16, 5),  # n = 8: template FDSC_4
+            (5, 256, 256, 6),  # n = 16: template FDSC_8
+            (3, 4, 4, None),  # n = 4: M - 1 = 3 = kappa(FDSC_2)
+            (3, 4, 5, 4),  # one more module would do
+            (3, 3, 16, None),  # |T| = kappa(T) is not a connectivity
+            (0, 16, 16, None),  # a disconnected template proves nothing
+        ],
+    )
+    def test_preconditions(self, template_kappa, template_size, module_count, bound):
+        assert module_induction_bound(template_kappa, template_size, module_count) == bound
+
+    def test_agrees_with_flow_n8(self, checker8, fdsc8):
+        assert vertex_connectivity(checker8.template) == 4
+        assert checker8.kappa_lower_bound == vertex_connectivity(fdsc8) == 5
 
 
 class TestAgainstPlainSearch:
@@ -120,3 +140,34 @@ def test_survivor_check_matches_census(name, request):
         assert check.connected(removed) == plain_connected(g, removed)
 
     agrees()
+
+
+def test_survivor_check_matches_census_n16(fdsc16):
+    """On removals inside a few modules of FDSC_16 (a label's low byte is
+    its module, the high byte its inner label), from a handful of vertices
+    up to heavy fragmentation, sometimes with a whole neighborhood so that
+    both verdicts occur, the modular route decides every query and agrees
+    with the plain census."""
+    check = SurvivorCheck(fdsc16)
+    verdicts = {True: 0, False: 0}
+
+    @st.composite
+    def few_module_removals(draw):
+        removed = set()
+        for module in draw(st.lists(st.integers(0, 255), min_size=1, max_size=3, unique=True)):
+            inner = draw(st.lists(st.integers(0, 255), max_size=draw(st.sampled_from((8, 200)))))
+            removed.update((x << 8) | module for x in inner)
+        if draw(st.booleans()):
+            removed.update(fdsc16.adj[draw(st.integers(0, 65535))])
+        return sorted(removed)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(few_module_removals())
+    def agrees(removed):
+        fast = check.checker.connected(removed)
+        assert fast is not None
+        assert fast == check.connected(removed) == plain_connected(fdsc16, removed)
+        verdicts[fast] += 1
+
+    agrees()
+    assert verdicts[True] > 0 and verdicts[False] > 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from fdsc import (
     enumerate_candidates,
     exact_structure_connectivity,
     make_dim,
+    modcheck,
     reference_value,
     super_cut_probe,
 )
@@ -118,6 +120,38 @@ class TestExactValues:
             assert fast.pruned == slow.pruned
             assert fast.connectivity_checks == slow.connectivity_checks
 
+    def test_kappa_route(self, fdsc4, fdsc8, dsc8):
+        # module induction answers only where the checker applies; the
+        # whole-graph flow answers everywhere else and stays the reference
+        induction = (
+            "(5, module induction: kappa(FDSC_4) + 1 by flow on the template, "
+            "preconditions verified, equals the minimum degree)"
+        )
+        for g, use_modular, route in (
+            (fdsc8, True, induction),
+            (fdsc8, False, "(5, computed by flow)"),
+            (dsc8, True, "(4, computed by flow)"),
+            (fdsc4, True, "(4, computed by flow)"),
+        ):
+            result = exact_structure_connectivity(g, 1, SUBSTRUCTURE, 1, use_modular)
+            rule = result.notes["prune_rule"]
+            assert route in rule, rule
+            assert "smaller than the exact vertex connectivity" in rule
+
+    def test_weaker_bound_is_not_called_exact(self, fdsc8, monkeypatch):
+        # a sound bound below the minimum degree still prunes soundly, but
+        # the report must not call it the exact connectivity
+        exact = exact_structure_connectivity(fdsc8, 2, STRUCTURE, 2)
+        monkeypatch.setattr(modcheck, "module_induction_bound", lambda *args: 4)
+        weak = exact_structure_connectivity(fdsc8, 2, STRUCTURE, 2)
+        assert weak.notes["prune_rule"].startswith(
+            "subsets with removed-vertex union smaller than the proven "
+            "vertex-connectivity lower bound (4, module induction: "
+        )
+        assert "minimum degree" not in weak.notes["prune_rule"]
+        assert weak.certificate.elements == exact.certificate.elements
+        assert weak.examined == exact.examined and weak.pruned < exact.pruned
+
     def test_determinism(self, fdsc4):
         a = exact_structure_connectivity(fdsc4, 2, SUBSTRUCTURE, 3)
         b = exact_structure_connectivity(fdsc4, 2, SUBSTRUCTURE, 3)
@@ -128,6 +162,25 @@ class TestExactValues:
     def test_budget_validation(self, fdsc2):
         with pytest.raises(ParameterError):
             exact_structure_connectivity(fdsc2, 1, STRUCTURE, 0)
+
+
+@pytest.mark.parametrize("mode", [STRUCTURE, SUBSTRUCTURE])
+@pytest.mark.parametrize("d", [1, 2])
+def test_monotone_in_budget(d, mode, fdsc2, fdsc4):
+    """For every pattern order m <= d + 2 and every pair of budgets
+    b < b' up to d + 4 (beyond every value there): the proven lower bound
+    and the examined count never decrease, and once a value is found the
+    larger budget returns the same value and certificate."""
+    g = fdsc2 if d == 1 else fdsc4
+    for m in range(d + 3):
+        results = [exact_structure_connectivity(g, m, mode, b) for b in range(1, d + 5)]
+        assert results[-1].value is not None
+        for small, large in itertools.combinations(results, 2):
+            assert small.proven_lower_bound <= large.proven_lower_bound
+            assert small.examined <= large.examined
+            if small.value is not None:
+                assert large.value == small.value
+                assert large.certificate.elements == small.certificate.elements
 
 
 class TestRelations:
