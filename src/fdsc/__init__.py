@@ -47,7 +47,6 @@ from .labels import (
 )
 from .oracle import (
     OracleResult,
-    RemovalSpec,
     check_vertex_edge_removals,
     enumerate_candidates,
     exact_structure_connectivity,
@@ -67,7 +66,6 @@ __all__ = [
     "LabelParseError",
     "OracleResult",
     "ParameterError",
-    "RemovalSpec",
     "ResourceCapError",
     "Star",
     "apex_pair",

@@ -26,9 +26,13 @@ Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
 
 ``_sweep`` is the one sweep engine, a stateless function of the element
-vertex sets, the family size and a kappa bound: a vertex or an edge is a
-star with at most one leaf, so the exhaustive mixed removal check is the
-K_{1,1}-substructure oracle's sweep.
+vertex sets, the family size and a kappa bound.
+
+Faults have one vocabulary, the ``FaultFamily``: a vertex is a 0-leaf
+star and an edge a 1-leaf star, so a mix of vertex and edge removals is a
+K_{1,1}-substructure family.  The exhaustive mixed removal check is
+``exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget)`` itself; the
+sampled check and the probe report their violations as families.
 
 Every survivor question here (the family sweeps, the sampled removal check
 and both probe modes) goes through one entry point,
@@ -51,6 +55,7 @@ from .cuts import (
     Star,
     apply_cut,
     family_to_json,
+    star,
 )
 from .errors import ParameterError
 from .graph import Graph, components_after_removal, vertex_connectivity
@@ -237,41 +242,16 @@ def exact_structure_connectivity(
     )
 
 
-@dataclass(frozen=True)
-class RemovalSpec:
-    """A mixed removal: whole vertices plus both endpoints of edges."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_family(cls, family: FaultFamily) -> RemovalSpec:
-        """A family of stars with at most one leaf as a mix: a 0-leaf star
-        is its center, a 1-leaf star the edge (smaller label first)."""
-        return cls(
-            vertices=tuple(s.center for s in family.elements if not s.leaves),
-            edges=tuple(tuple(sorted(s.vertices)) for s in family.elements if s.leaves),
-        )
-
-    def removed(self) -> set[int]:
-        out = set(self.vertices)
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return out
-
-
 @dataclass
 class RemovalReport:
-    """Verdict of a removal check: how many removals were ``checked`` (and
-    how many of those a sound prune ``pruned``), and every one that broke
-    the checked property.  The verdict ``holds`` iff none did."""
+    """Verdict of a removal check: how many removals were ``checked``, and
+    every one that broke the checked property, as a fault family.  The
+    verdict ``holds`` iff none did."""
 
     budget: int
     mode: str
     checked: int
-    pruned: int
-    violations: list[RemovalSpec]
+    violations: list[FaultFamily]
     seed: int | None = None
     generator: str | None = None
     notes: dict = field(default_factory=dict)
@@ -280,38 +260,18 @@ class RemovalReport:
     def holds(self) -> bool:
         return not self.violations
 
-    @classmethod
-    def from_oracle(cls, result: OracleResult, budget: int) -> RemovalReport:
-        """The exhaustive removal check as the K_{1,1}-substructure oracle's
-        sweep at this budget: its certificate, if any, is the one violation."""
-        cert = result.certificate
-        return cls(
-            budget=budget,
-            mode="exhaustive",
-            checked=result.examined,
-            pruned=result.pruned,
-            violations=[] if cert is None else [RemovalSpec.from_family(cert)],
-            notes={k: v for k, v in result.notes.items() if k != "budget_exhausted"},
-        )
-
 
 def check_vertex_edge_removals(
-    g: Graph,
-    budget_mode: str = "exhaustive",
-    sample_count: int = 0,
-    seed: int = 0,
-    budget: int | None = None,
+    g: Graph, sample_count: int, seed: int = 0, budget: int | None = None
 ) -> RemovalReport:
-    """Assert the graph stays connected after removing any mix of up to
-    ``budget`` elements, each a single vertex or both endpoints of an edge.
+    """Sample mixes of exactly ``budget`` elements, each a single vertex or
+    both endpoints of an edge, and report every one that disconnects.
 
-    Default budget is d; a budget below 1 is refused.  Exhaustive mode is
-    the K_{1,1}-substructure oracle at this budget: ``checked``/``pruned``
-    are its ``examined``/``pruned``, and its certificate, the first
-    disconnecting mix in its candidate order, is the one violation
-    reported.  Sample mode draws ``sample_count`` mixes of exactly
-    ``budget`` elements with a seeded generator and reports every
-    disconnecting one.
+    Default budget is d; a budget below 1 or above the vertex count is
+    refused.  A mix is a K_{1,1}-substructure family: a vertex is a 0-leaf
+    star, an edge a 1-leaf star centered on its smaller label.  The
+    exhaustive form of this check is
+    ``exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget)``.
     """
     if g.variant != FDSC:
         raise ParameterError("removal check is defined for the fdsc variant")
@@ -319,33 +279,32 @@ def check_vertex_edge_removals(
         raise ParameterError("removal check needs d >= 3")
     if budget is None:
         budget = g.dim.d
-    if budget_mode == "exhaustive":
-        return RemovalReport.from_oracle(
-            exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget), budget
-        )
-    if budget_mode != "sample":
-        raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
     if sample_count < 1:
-        raise ParameterError("sample mode needs sample_count >= 1")
+        raise ParameterError(f"sample_count must be >= 1, got {sample_count}")
     if budget < 1:
         raise ParameterError(f"budget must be >= 1, got {budget}")
+    if budget > g.vertex_count:
+        raise ParameterError(f"budget must be <= the vertex count {g.vertex_count}, got {budget}")
     rng = random.Random(seed)
     edge_list = list(g.edges())
     survivors = SurvivorCheck(g)
-    violations: list[RemovalSpec] = []
+    violations: list[FaultFamily] = []
     for _ in range(sample_count):
         vertex_count = rng.randint(0, budget)
         edge_count = budget - vertex_count
-        vertices = tuple(sorted(rng.sample(range(g.vertex_count), vertex_count)))
-        edges = tuple(sorted(edge_list[i] for i in rng.sample(range(len(edge_list)), edge_count)))
-        spec = RemovalSpec(vertices, edges)
-        if not survivors.connected(spec.removed()):
-            violations.append(spec)
+        vertices = sorted(rng.sample(range(g.vertex_count), vertex_count))
+        edges = sorted(edge_list[i] for i in rng.sample(range(len(edge_list)), edge_count))
+        family = FaultFamily(
+            [star(v) for v in vertices] + [star(u, [v]) for u, v in edges],
+            pattern_m=1,
+            mode=SUBSTRUCTURE,
+        )
+        if not survivors.connected(family.vertex_union()):
+            violations.append(family)
     return RemovalReport(
         budget=budget,
-        mode=budget_mode,
+        mode="sample",
         checked=sample_count,
-        pruned=0,
         violations=violations,
         seed=seed,
         generator=GENERATOR_ID,
@@ -370,9 +329,8 @@ def super_cut_probe(
 
     Exhaustive mode checks every vertex subset of size <= 2d-1 (feasible at
     n = 4 only); sample mode draws subsets of size exactly 2d-1.  The
-    report's budget is 2d-1 and nothing is pruned.  A disconnection whose
-    smallest component has >= 2 vertices is a violation, reported as a
-    vertex-only ``RemovalSpec``.
+    report's budget is 2d-1.  A disconnection whose smallest component has
+    >= 2 vertices is a violation, reported as a family of 0-leaf stars.
     """
     limit = 2 * g.dim.d - 1
     vertices = range(g.vertex_count)
@@ -397,19 +355,19 @@ def super_cut_probe(
     else:
         raise ParameterError(f"budget_mode must be exhaustive|sample, got {budget_mode!r}")
     survivors = SurvivorCheck(g)
-    violations: list[RemovalSpec] = []
+    violations: list[FaultFamily] = []
     for removed in subsets:
         if survivors.connected(removed):
             continue
         census = components_after_removal(g, removed)
         if census.component_count >= 2 and census.component_sizes[-1] >= 2:
-            violations.append(RemovalSpec(vertices=removed, edges=()))
+            violations.append(FaultFamily([star(v) for v in removed], pattern_m=0, mode=STRUCTURE))
     return RemovalReport(
         budget=limit,
         mode=budget_mode,
         checked=checked,
-        pruned=0,
         violations=violations,
         seed=seed,
         generator=generator,
+        notes={"connectivity_method": survivors.method},
     )

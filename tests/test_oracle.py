@@ -5,10 +5,8 @@ import pytest
 
 from fdsc import (
     FDSC,
-    FaultFamily,
     Graph,
     ParameterError,
-    RemovalSpec,
     apply_cut,
     check_vertex_edge_removals,
     enumerate_candidates,
@@ -17,8 +15,9 @@ from fdsc import (
     modcheck,
     reference_value,
     super_cut_probe,
+    validate_family,
 )
-from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, star
+from fdsc.cuts import STRUCTURE, SUBSTRUCTURE
 from fdsc.graph import components_after_removal
 
 D2, D3 = make_dim(2), make_dim(3)
@@ -230,50 +229,57 @@ class TestReferenceValues:
 
 class TestRemovalCheck:
     def test_small_exhaustive_holds(self, fdsc8):
-        # the exhaustive check is the K_{1,1}-substructure oracle's sweep
+        # the exhaustive removal check is the K_{1,1}-substructure oracle
         # over 896 = 256 vertices + 640 edges
         for budget in (1, 2):
-            report = check_vertex_edge_removals(fdsc8, "exhaustive", budget=budget)
-            assert report.holds
-            assert report.violations == []
-            assert report.checked == sum(math.comb(896, t) for t in range(1, budget + 1))
-            oracle = exact_structure_connectivity(fdsc8, 1, SUBSTRUCTURE, budget)
-            assert (report.checked, report.pruned) == (oracle.examined, oracle.pruned)
-            assert oracle.notes.pop("budget_exhausted") is True
-            assert report.notes == oracle.notes
+            result = exact_structure_connectivity(fdsc8, 1, SUBSTRUCTURE, budget)
+            assert result.candidates == 896
+            assert result.value is None
+            assert result.examined == sum(math.comb(896, t) for t in range(1, budget + 1))
 
-    def test_certificate_maps_to_one_mix(self, fdsc4):
-        # no feasible call reaches a hit (d >= 3 is required, and FDSC_8
-        # needs t = 4), so the mapping is tested on the n = 4 certificate
+    def test_exhaustive_certificate_n4(self, fdsc4):
+        # no feasible d >= 3 call reaches a hit (FDSC_8 needs t = 4), so the
+        # first disconnecting mix is pinned at n = 4: two edges
         family = exact_structure_connectivity(fdsc4, 1, SUBSTRUCTURE, 2).certificate
         assert [(s.center, s.leaves) for s in family.elements] == [(0, {12}), (7, {11})]
-        spec = RemovalSpec.from_family(family)
-        assert spec == RemovalSpec(vertices=(), edges=((0, 12), (7, 11)))
-        assert spec.removed() == family.vertex_union()
-        # a 0-leaf star is a vertex; an edge lists its smaller label first
-        mixed = FaultFamily([star(5), star(9, [3])], pattern_m=1, mode=SUBSTRUCTURE)
-        assert RemovalSpec.from_family(mixed) == RemovalSpec((5,), ((3, 9),))
 
     @pytest.mark.parametrize("budget", [0, -1])
-    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
-    def test_budget_below_one_rejected(self, fdsc8, mode, budget):
+    def test_budget_below_one_rejected(self, fdsc8, budget):
         with pytest.raises(ParameterError):
-            check_vertex_edge_removals(fdsc8, mode, sample_count=10, budget=budget)
+            check_vertex_edge_removals(fdsc8, 10, budget=budget)
+
+    def test_budget_above_vertex_count_rejected(self, fdsc8):
+        with pytest.raises(ParameterError, match="vertex count"):
+            check_vertex_edge_removals(fdsc8, 50, budget=300)
+
+    def test_seeded_draws_are_families(self, fdsc8, monkeypatch):
+        # every draw is reported when nothing survives; these are the mixes
+        # seed 42 has always drawn, so the generator's call order is pinned
+        monkeypatch.setattr(modcheck.SurvivorCheck, "connected", lambda self, removed: False)
+        report = check_vertex_edge_removals(fdsc8, 3, seed=42, budget=3)
+        assert [[(s.center, s.leaves) for s in f.elements] for f in report.violations] == [
+            [(5, {69}), (51, {179}), (57, {185})],
+            [(71, set()), (21, {69}), (147, {211})],
+            [(6, {134}), (101, {149}), (179, {227})],
+        ]
+        for family in report.violations:
+            assert len(family) == 3
+            assert validate_family(family, fdsc8.dim) == (True, None)
 
     def test_sample_holds_and_deterministic(self, fdsc8):
-        a = check_vertex_edge_removals(fdsc8, "sample", sample_count=2000, seed=42)
-        b = check_vertex_edge_removals(fdsc8, "sample", sample_count=2000, seed=42)
+        a = check_vertex_edge_removals(fdsc8, 2000, seed=42)
+        b = check_vertex_edge_removals(fdsc8, 2000, seed=42)
         assert a.holds and b.holds
         assert a.checked == b.checked == 2000
         assert a.seed == 42 and a.generator
 
     def test_small_d_rejected(self, fdsc4):
         with pytest.raises(ParameterError):
-            check_vertex_edge_removals(fdsc4)
+            check_vertex_edge_removals(fdsc4, 10)
 
     def test_plain_variant_rejected(self, dsc8):
         with pytest.raises(ParameterError):
-            check_vertex_edge_removals(dsc8)
+            check_vertex_edge_removals(dsc8, 10)
 
 
 class TestSuperCutProbe:
@@ -281,11 +287,13 @@ class TestSuperCutProbe:
         report = super_cut_probe(fdsc4, "exhaustive")
         assert report.holds
         assert report.checked == 696  # C(16,1) + C(16,2) + C(16,3)
+        assert report.notes == {"connectivity_method": "plain component search"}
 
     def test_sample_n8(self, fdsc8):
         report = super_cut_probe(fdsc8, "sample", sample_count=2000, seed=0)
         assert report.holds
         assert report.budget == 5
+        assert report.notes == {"connectivity_method": modcheck.SurvivorCheck(fdsc8).method}
 
     def test_neighborhood_removal_isolates_not_violates(self, fdsc4):
         # removing a full neighborhood disconnects, but with an isolated
@@ -312,10 +320,11 @@ class TestSuperCutProbe:
         report = super_cut_probe(g, "exhaustive")
         assert not report.holds
         assert report.checked == 696
-        assert report.violations[:2] == [RemovalSpec((7,), ()), RemovalSpec((8,), ())]
+        assert [[s.center for s in v.elements] for v in report.violations[:2]] == [[7], [8]]
         for v in report.violations:
-            assert v.edges == ()
-            census = components_after_removal(g, v.removed())
+            assert (v.pattern_m, v.mode) == (0, STRUCTURE)
+            assert all(not s.leaves for s in v.elements)
+            census = components_after_removal(g, v.vertex_union())
             assert census.component_count >= 2
             assert census.component_sizes[-1] >= 2
 
