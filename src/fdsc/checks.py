@@ -270,8 +270,10 @@ def module_decomposition_violation(dim: Dim) -> str | None:
     In every module: each vertex's interior edges are those of its inner
     label in FDSC_(n/2), kinds (neighbor positions) included: swap level k
     becomes k+1, so the half-width cross edge becomes the level-2 swap;
-    each vertex has exactly one cross edge; and the cross edges reach every
-    other module.  Returns the first violation, naming its module, or None.
+    each vertex has exactly one cross edge; the cross edges reach every
+    other module; and each lands on its partner: (x, b), with inner label x
+    and module b, is joined to (b, x), or to (~b, ~b) when x = b.  Returns
+    the first violation, naming its module, or None.
     """
     half_dim = make_dim(dim.d - 1)
     half, mask, size = dim.half, dim.module_mask, 1 << dim.half
@@ -283,6 +285,7 @@ def module_decomposition_violation(dim: Dim) -> str | None:
     ]
     for b in range(size):
         targets = set()
+        stray = None
         for x in range(size):
             u = (x << half) | b
             interior = {}
@@ -303,8 +306,18 @@ def module_decomposition_violation(dim: Dim) -> str | None:
                     f"{len(cross)} cross edges, expected exactly 1"
                 )
             targets.add(cross[0] & mask)
+            partner = (b << half) | x if x != b else ((b ^ mask) << half) | (b ^ mask)
+            if cross[0] != partner and stray is None:
+                stray = (
+                    f"module {b:#x}: cross edge of {format_label(u, dim)} lands at "
+                    f"{format_label(cross[0], dim)}, not at its partner "
+                    f"{format_label(partner, dim)}"
+                )
+        # a missed module breaks the partner rule too; name the missed module
         if len(targets) != size - 1:
             return f"module {b:#x}: cross edges do not reach every other module"
+        if stray is not None:
+            return stray
     return None
 
 

@@ -169,7 +169,7 @@ def cmd_verify(args) -> int:
     with open(args.family, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParameterError(f"family file is not valid JSON: {exc}") from exc
     family = family_from_json(obj, dim)
     ok, violation = validate_family(family, dim, args.variant)

@@ -13,17 +13,22 @@ For a removal S touching at most a few modules:
   any two are joined by a cross edge whose endpoints are both intact);
 * each touched module decomposes into components of (module - S), found
   by search inside a 2^(n/2)-vertex template and memoized by removed mask;
-* a touched-module component joins the core as soon as any member's cross
-  edge lands in an intact module, and joins another touched component via
-  cross edges between touched modules.  Since the cross-edge map is an
-  involution, scanning every touched survivor sees each such edge from
-  both ends, so a component's scan may stop at its first core contact.
+* the cross edge of (x, b), with inner label x and module b, lands on its
+  partner (b, x), or on (~b, ~b) when x = b.  So a component of module b,
+  held as a mask M of inner labels, has its partners in the modules of M
+  other than b, plus ~b when M holds b.  With T the mask of touched
+  modules, M reaches the core iff M & ~T is non-empty or M holds b and ~b
+  is intact; when every component does, the answer is yes.  Otherwise a
+  union-find links each component M, through each touched module x in M,
+  to the component of module x that holds inner label b, and through b
+  to the one of module ~b that holds ~b.  No per-vertex table is needed.
 
 The facts this argument leans on are not assumed: the constructor proves
 them for the exact dimension in use and raises if any fails.  The module
 facts (interior adjacency of every module equals the half-width copy, every
-vertex has exactly one cross edge, the module quotient is complete) come
-from ``checks.module_decomposition_violation``, the same proof the
+vertex has exactly one cross edge, the module quotient is complete, every
+cross edge lands on its partner) come from
+``checks.module_decomposition_violation``, the same proof the
 ``module-decomposition`` check reports; the constructor adds only that the
 template is connected.  Given those, ``connected`` is exact whenever at
 least one module is intact; otherwise it returns None.
@@ -50,7 +55,7 @@ from .graph import (
     is_connected,
     vertex_connectivity,
 )
-from .labels import FDSC, Dim, external_neighbor, make_dim
+from .labels import FDSC, Dim, make_dim
 
 _CACHE_SOFT_CAP = 200_000
 
@@ -94,19 +99,7 @@ class ModularChecker:
         self.half = dim.half
         self.module_mask = dim.module_mask
         self.module_count = 1 << dim.half
-        half_dim = make_dim(dim.d - 1)
-        self.template: Graph = build_graph(half_dim, FDSC)
-        size = 1 << dim.n
-        self.ext_module = [0] * size
-        self.ext_inner = [0] * size
-        for v in range(size):
-            e = external_neighbor(v, dim)
-            self.ext_module[v] = e & self.module_mask
-            self.ext_inner[v] = e >> self.half
-        # vertex -> (module, its bit in that module's inner mask); one int
-        # per inner label, shared by every module
-        bits = [1 << x for x in range(self.module_count)]
-        self.module_bit = [(v & self.module_mask, bits[v >> self.half]) for v in range(size)]
+        self.template: Graph = build_graph(make_dim(dim.d - 1), FDSC)
         violation = module_decomposition_violation(dim)
         if violation is not None:
             raise AssertionError(violation)
@@ -115,31 +108,27 @@ class ModularChecker:
         self.kappa_lower_bound = module_induction_bound(
             vertex_connectivity(self.template), self.template.vertex_count, self.module_count
         )
-        # removed-inner-mask -> tuple of components (tuples of inner labels)
-        self._comp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # removed-inner-mask -> components, each a mask of inner labels
+        self._comp_cache: dict[int, tuple[int, ...]] = {}
 
-    def _components(self, removed_mask: int) -> tuple[tuple[int, ...], ...]:
+    def _components(self, removed_mask: int) -> tuple[int, ...]:
         comps = self._comp_cache.get(removed_mask)
         if comps is not None:
             return comps
         adj = self.template.adj
-        size = self.module_count
-        seen = 0  # bitmask over inner labels, removed marked seen
+        left = ((1 << self.module_count) - 1) & ~removed_mask  # survivors not yet reached
         out = []
-        for start in range(size):
-            if (removed_mask >> start) & 1 or (seen >> start) & 1:
-                continue
-            stack = [start]
-            seen |= 1 << start
-            members = []
+        while left:
+            comp = left & -left
+            left ^= comp
+            stack = [comp.bit_length() - 1]
             while stack:
-                x = stack.pop()
-                members.append(x)
-                for y in adj[x]:
-                    if not ((removed_mask >> y) & 1 or (seen >> y) & 1):
-                        seen |= 1 << y
+                for y in adj[stack.pop()]:
+                    if (left >> y) & 1:
+                        left ^= 1 << y
+                        comp |= 1 << y
                         stack.append(y)
-            out.append(tuple(members))
+            out.append(comp)
         comps = tuple(out)
         if len(self._comp_cache) > _CACHE_SOFT_CAP:
             self._comp_cache.clear()
@@ -151,65 +140,59 @@ class ModularChecker:
 
         Returns None when no module is intact (caller must fall back).
         """
+        half, mask = self.half, self.module_mask
         # module -> mask of its removed inner labels
         touched: dict[int, int] = {}
-        module_bit = self.module_bit
         for v in removed:
-            b, bit = module_bit[v]
-            touched[b] = touched.get(b, 0) | bit
+            b = v & mask
+            touched[b] = touched.get(b, 0) | (1 << (v >> half))
         if len(touched) >= self.module_count:
             return None
-        half = self.half
-        ext_module = self.ext_module
-        ext_inner = self.ext_inner
-        components = self._components
-
-        # Node 0 is the intact core; allocate nodes for every touched
-        # component first so cross links can union in either direction.
-        parent = [0]
-        node_of: dict[int, tuple[tuple[int, ...], int]] = {}
+        tmask = sum(1 << b for b in touched)
         for b, removed_mask in touched.items():
-            comps = components(removed_mask)
-            node_of[b] = (comps, len(parent))
-            for _ in comps:
-                parent.append(len(parent))
+            apex_out = not (tmask >> (b ^ mask)) & 1
+            for comp in self._components(removed_mask):
+                if not (comp & ~tmask or (apex_out and (comp >> b) & 1)):
+                    return self._linked(touched, tmask)
+        return True
 
-        def find(a: int) -> int:
+    def _linked(self, touched: dict[int, int], tmask: int) -> bool:
+        """Union-find over the touched components, keyed (module, index);
+        key 0 is the intact core."""
+        mask = self.module_mask
+        comps = {b: self._components(r) for b, r in touched.items()}
+        parent: dict = {(b, i): (b, i) for b, cs in comps.items() for i in range(len(cs))}
+        parent[0] = 0
+
+        def find(a):
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
             return a
 
-        for b, (comps, first_id) in node_of.items():
-            base = b
-            for offset, members in enumerate(comps):
-                node = first_id + offset
-                for x in members:
-                    v = (x << half) | base
-                    e_mod = ext_module[v]
-                    other = touched.get(e_mod)
-                    if other is None:
-                        # Cross edge into an intact module: this component
-                        # reaches the core; any link it has to another
-                        # touched component is seen from that component's
-                        # own scan (the cross-edge map is an involution),
-                        # or is redundant once both sides touch the core.
-                        ra, rb = find(node), 0
-                        if ra != rb:
-                            parent[ra] = rb
-                        break
-                    e_in = ext_inner[v]
-                    if (other >> e_in) & 1:
-                        continue  # partner vertex was removed
-                    o_comps, o_first = node_of[e_mod]
-                    for o_offset, o_members in enumerate(o_comps):
-                        if e_in in o_members:
-                            ra, rb = find(node), find(o_first + o_offset)
-                            if ra != rb:
-                                parent[ra] = rb
-                            break
+        def holder(p: int, q: int):
+            # the key holding inner label q of module p: the core if p is
+            # intact, None if q was removed
+            if p not in comps:
+                return 0
+            return next(((p, i) for i, c in enumerate(comps[p]) if (c >> q) & 1), None)
+
+        for b, cs in comps.items():
+            for i, comp in enumerate(cs):
+                if comp & ~tmask:
+                    ends = [0]  # a member's partner lies in an intact module
+                else:
+                    # (x, b) is joined to (b, x), or to (~b, ~b) when x = b
+                    ends = [
+                        holder(x, b) if x != b else holder(b ^ mask, b ^ mask)
+                        for x in comps
+                        if (comp >> x) & 1
+                    ]
+                for end in ends:
+                    if end is not None:
+                        parent[find((b, i))] = find(end)
         root = find(0)
-        return all(find(i) == root for i in range(1, len(parent)))
+        return all(find(a) == root for a in parent)
 
 
 class SurvivorCheck:

@@ -96,6 +96,9 @@ def _fault(name, dim, b=0x5):
             out[1], out[2] = out[2], out[1]  # level-2 and level-3 swaps trade positions
         elif name == "two-cross-edges":
             out.append(u ^ 1)
+        elif name == "wrong-partner":
+            # u = (2, 5) keeps one cross edge into module 2, at inner 4 instead of 5
+            out[vdim.d] = (4 << half) | 2
         else:
             # the cross edge lands in the complement module instead
             out[vdim.d] = members[1] ^ mask
@@ -115,6 +118,7 @@ class TestModuleDecompositionProof:
             ("kind", "do not match the half-width copy"),
             ("two-cross-edges", "has 2 cross edges"),
             ("missed-module", "do not reach every other module"),
+            ("wrong-partner", "not at its partner"),
         ],
     )
     def test_one_wrong_neighbor_fails_both_users(self, name, fact, monkeypatch, fdsc8):

@@ -236,6 +236,15 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "malformed family JSON" in proc.stderr
 
+    @pytest.mark.parametrize("raw", [b'{"mode": ', b"\xff\xfe"], ids=["truncated", "not-utf8"])
+    def test_unreadable_family_exits_2(self, capsys, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--family", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: family file is not valid JSON")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "verify", "--d", "2", "--family", str(tmp_path / "nope.json")

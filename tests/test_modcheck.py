@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsc import ParameterError, components_after_removal, make_dim, vertex_connectivity
+from fdsc.labels import external_neighbor
 from fdsc.modcheck import ModularChecker, SurvivorCheck, module_induction_bound
+
+
+D3 = make_dim(3)
 
 
 @pytest.fixture(scope="module")
 def checker8():
-    return ModularChecker(make_dim(3))
+    return ModularChecker(D3)
 
 
 def plain_connected(g, removed):
@@ -82,8 +86,8 @@ class TestAgainstPlainSearch:
 
     def test_adversarial_fragmentation(self, checker8, fdsc8):
         # fragment a few modules heavily and knock out cross partners of
-        # their survivors, so component-to-component links and the
-        # first-core-contact early exit both matter; both verdicts occur
+        # their survivors, so both the fast path and the union-find over
+        # component-to-component links answer; both verdicts occur
         rng = random.Random(2024)
         verdicts = {True: 0, False: 0}
         for _ in range(2000):
@@ -96,11 +100,42 @@ class TestAgainstPlainSearch:
                 for x in range(16):
                     v = (x << 4) | b
                     if v not in removed and rng.random() < 0.2:
-                        removed.add(
-                            (checker8.ext_inner[v] << 4) | checker8.ext_module[v]
-                        )
+                        removed.add(external_neighbor(v, D3))
             fast = checker8.connected(removed)
             assert fast is not None
+            assert fast == plain_connected(fdsc8, removed), sorted(removed)
+            verdicts[fast] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_apex_edge_is_the_only_link(self, checker8, fdsc8):
+        # module b keeps only (b, b), whose one cross edge is the apex edge to
+        # (~b, ~b); module ~b is touched, so only the union-find can decide
+        b = 0x3
+        removed = {(x << 4) | b for x in range(16) if x != b} | {(0x0 << 4) | 0xC}
+        assert checker8.connected(removed) is True
+        assert plain_connected(fdsc8, removed)
+        removed.add((0xC << 4) | 0xC)
+        assert checker8.connected(removed) is False
+        assert not plain_connected(fdsc8, removed)
+
+    def test_slow_route(self, checker8, fdsc8):
+        # "closed" modules lose every vertex whose partner lies outside the
+        # touched modules, so no closed component passes the fast path; one
+        # "open" module keeps a route to the intact core that the closed
+        # components may or may not reach
+        rng = random.Random(77)
+        verdicts = {True: 0, False: 0}
+        for _ in range(1000):
+            mods = rng.sample(range(16), rng.randint(3, 6))
+            closed, open_module = mods[:-1], mods[-1]
+            removed = {
+                v for v in range(256)
+                if v & 15 in closed and external_neighbor(v, D3) & 15 not in mods
+            }
+            removed |= {v for v in range(256) if v & 15 in mods and rng.random() < 0.1}
+            removed |= {(x << 4) | open_module for x in rng.sample(range(16), 3)}
+            assert any(v not in removed for v in range(256) if v & 15 in closed)
+            fast = checker8.connected(removed)
             assert fast == plain_connected(fdsc8, removed), sorted(removed)
             verdicts[fast] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
