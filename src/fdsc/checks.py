@@ -12,6 +12,7 @@ deterministic sample above that.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -136,8 +137,11 @@ def check_label_invariants(dim: Dim) -> list[CheckResult]:
         return PASS, f"{scope}; {len(labels)} labels, d+1 swap levels"
 
     def degree_and_symmetry():
+        # each scanned label's list is computed once and read back for the
+        # symmetry test; only a neighbor outside a sampled scan gets a call
+        table = {u: neighbor_set(u, dim) for u in labels}
         for u in labels:
-            nbrs = neighbor_set(u, dim)
+            nbrs = table[u]
             seen_labels = set(nbrs)
             if len(nbrs) != expected_degree or len(seen_labels) != expected_degree:
                 return FAIL, (
@@ -147,7 +151,10 @@ def check_label_invariants(dim: Dim) -> list[CheckResult]:
             if u in seen_labels:
                 return FAIL, f"{format_label(u, dim)} adjacent to itself"
             for i, v in enumerate(nbrs):
-                if neighbor_set(v, dim)[i] != u:
+                back = table.get(v)
+                if back is None:
+                    back = neighbor_set(v, dim)
+                if back[i] != u:
                     return FAIL, (
                         f"asymmetric edge {format_label(u, dim)} -- "
                         f"{format_label(v, dim)} at neighbor position {i}"
@@ -391,6 +398,17 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
     neighbors of u share at most one common neighbor besides u, and N(u)
     contains a triangle whose removal leaves the rest of N(u) independent.
 
+    The first fact is checked in its global form: no two distinct vertices
+    share three or more neighbors.  For a simple undirected adjacency (no
+    loops, no repeated entries, v in adj[u] exactly when u in adj[v]) the
+    two are equivalent.  If neighbors v != w of u share two vertices
+    besides u, then v and w share those two and u.  Conversely, if v != w
+    share three neighbors, pick u among them: v and w are neighbors of u
+    and share the other two.  The common neighbors of v and w are counted
+    as the two-step walks from v that end at w, so each vertex needs one
+    sorted list of its walk endpoints ((d+2)^2 in FDSC_n), and a failure
+    names the smallest common neighbor as the hub.
+
     The triangle is checked first with the fixed witness {u_1, u_top, u_f}
     (pairwise different in subsets of {s_1, s_2}); if that ever fails, all
     triples are searched before reporting, and the detail records which
@@ -398,25 +416,27 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
     if g.variant != FDSC or g.dim.d < 2:
         raise ParameterError("neighborhood structure needs fdsc with d >= 2")
     dim = g.dim
-    nbr_sets = [frozenset(g.adj[u]) for u in range(g.vertex_count)]
+    adj = g.adj
 
     def pairwise_common_bound():
-        for u in range(g.vertex_count):
-            for v, w in itertools.combinations(g.adj[u], 2):
-                common = (nbr_sets[v] & nbr_sets[w]) - {u}
-                if len(common) > 1:
-                    return FAIL, (
-                        f"neighbors {format_label(v, dim)}, {format_label(w, dim)} "
-                        f"of {format_label(u, dim)} share {len(common)} others"
-                    )
+        for v, nbrs in enumerate(adj):
+            ends = sorted([w for x in nbrs for w in adj[x] if w != v])
+            # a w that ends three walks sits at some i and i + 2
+            if any(map(operator.eq, ends, ends[2:])):
+                w = next(a for a, b in zip(ends, ends[2:]) if a == b)
+                common = sorted(set(nbrs) & set(adj[w]))
+                return FAIL, (
+                    f"neighbors {format_label(v, dim)}, {format_label(w, dim)} "
+                    f"of {format_label(common[0], dim)} share {len(common) - 1} others"
+                )
         return PASS, "every neighbor pair shares at most one vertex besides the hub"
 
     def _is_triangle_with_independent_rest(u: int, triple: tuple[int, int, int]) -> bool:
         p, q, r = triple
-        if not (p in nbr_sets[q] and q in nbr_sets[r] and p in nbr_sets[r]):
+        if not (p in adj[q] and q in adj[r] and p in adj[r]):
             return False
-        rest = [x for x in g.adj[u] if x not in triple]
-        return all(y not in nbr_sets[x] for x, y in itertools.combinations(rest, 2))
+        rest = [x for x in adj[u] if x not in triple]
+        return all(y not in adj[x] for x, y in itertools.combinations(rest, 2))
 
     def triangle_and_independent_rest():
         fallback_used = False
@@ -431,7 +451,7 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
             fallback_used = True
             found = any(
                 _is_triangle_with_independent_rest(u, triple)
-                for triple in itertools.combinations(g.adj[u], 3)
+                for triple in itertools.combinations(adj[u], 3)
             )
             if not found:
                 return FAIL, (

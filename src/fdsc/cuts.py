@@ -286,22 +286,51 @@ def family_to_json(fam: FaultFamily, dim: Dim) -> dict:
 
 
 def family_from_json(obj: dict, dim: Dim) -> FaultFamily:
+    """Read a family in the shape ``family_to_json`` writes.
+
+    Only the keys ``mode``, ``m``, ``elements`` (top level) and ``center``,
+    ``leaves`` (per element) are accepted, and ``elements`` and ``leaves``
+    must be lists, so a misspelled key or a string of leaves is refused
+    instead of silently describing another family.
+    """
     try:
         mode = obj["mode"]
         m = obj["m"]
         raw_elements = obj["elements"]
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed family JSON: {exc}") from exc
+    _refuse_unknown_keys(obj, ("mode", "m", "elements"))
     if not isinstance(m, int) or isinstance(m, bool):
         raise ParameterError(f"malformed family JSON: m must be an integer, got {m!r}")
     if mode not in MODES:
         raise ParameterError(f"family mode must be one of {MODES}, got {mode!r}")
+    if not isinstance(raw_elements, list):
+        raise ParameterError(
+            f"malformed family JSON: elements must be a list, got {raw_elements!r}"
+        )
     elements = []
-    try:
-        for entry in raw_elements:
+    for entry in raw_elements:
+        if not isinstance(entry, dict):
+            raise ParameterError(f"malformed family JSON: element {entry!r} is not an object")
+        _refuse_unknown_keys(entry, ("center", "leaves"))
+        raw_leaves = entry.get("leaves", [])
+        if not isinstance(raw_leaves, list):
+            raise ParameterError(
+                f"malformed family JSON: leaves must be a list, got {raw_leaves!r}"
+            )
+        try:
             center = parse_label(entry["center"], dim)
-            leaves = [parse_label(text, dim) for text in entry.get("leaves", [])]
-            elements.append(star(center, leaves))
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed family JSON: {exc}") from exc
+            leaves = [parse_label(text, dim) for text in raw_leaves]
+        except (KeyError, TypeError) as exc:
+            raise ParameterError(f"malformed family JSON: {exc}") from exc
+        elements.append(star(center, leaves))
     return FaultFamily(elements=elements, pattern_m=m, mode=mode)
+
+
+def _refuse_unknown_keys(obj: dict, allowed: tuple[str, ...]) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ParameterError(
+            f"malformed family JSON: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"expected only {', '.join(allowed)}"
+        )

@@ -22,7 +22,6 @@ from .labels import (
     complement_address,
     concat_halves,
     format_label,
-    module_address,
     neighbor_set,
 )
 
@@ -321,9 +320,10 @@ def quotient_census(g: Graph) -> QuotientCensus:
     if g.dim.n < 4:
         raise ParameterError("quotient census needs n >= 4")
     dim = g.dim
+    mask = dim.module_mask
     mult: dict[tuple[int, int], int] = {}
     for u, v in g.edges():
-        bu, bv = module_address(u, dim), module_address(v, dim)
+        bu, bv = u & mask, v & mask
         if bu == bv:
             continue
         key = (bu, bv) if bu < bv else (bv, bu)

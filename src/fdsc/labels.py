@@ -87,16 +87,20 @@ def swap_neighbor(u: VertexLabel, k: int, dim: Dim) -> VertexLabel:
     """
     if not 1 <= k <= dim.d:
         raise ParameterError(f"swap level k must be in [1..{dim.d}], got {k}")
-    p = dim.n >> k
+    return _swap(u, dim.n, dim.n >> k)
+
+
+def _swap(u: VertexLabel, n: int, p: int) -> VertexLabel:
+    """The swap of the two leading p-bit runs of the n-bit label u."""
     mask = (1 << p) - 1
-    m1 = (u >> (dim.n - p)) & mask
-    m2 = (u >> (dim.n - 2 * p)) & mask
-    m3 = u & ((1 << (dim.n - 2 * p)) - 1)
+    m1 = (u >> (n - p)) & mask
+    m2 = (u >> (n - 2 * p)) & mask
+    m3 = u & ((1 << (n - 2 * p)) - 1)
     if m1 == m2:
         m1, m2 = m1 ^ mask, m2 ^ mask
     else:
         m1, m2 = m2, m1
-    return (m1 << (dim.n - p)) | (m2 << (dim.n - 2 * p)) | m3
+    return (m1 << (n - p)) | (m2 << (n - 2 * p)) | m3
 
 
 def external_neighbor(u: VertexLabel, dim: Dim) -> VertexLabel:
@@ -115,10 +119,11 @@ def neighbor_set(u: VertexLabel, dim: Dim, variant: str = FDSC) -> list[VertexLa
     """
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    n = dim.n
     out = [e1_neighbor(u, dim)]
     for k in range(2, dim.d + 1):
-        out.append(swap_neighbor(u, k, dim))
-    out.append(swap_neighbor(u, 1, dim))
+        out.append(_swap(u, n, n >> k))
+    out.append(_swap(u, n, n >> 1))
     if variant == FDSC:
         out.append(f_neighbor(u, dim))
     return out

@@ -1,4 +1,9 @@
+import itertools
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsc import checks, exact_structure_connectivity, make_dim, parse_label, run_all
 from fdsc.checks import (
@@ -12,7 +17,15 @@ from fdsc.checks import (
     check_no_common_neighbor,
 )
 from fdsc.cuts import STRUCTURE
-from fdsc.labels import external_neighbor, neighbor_set
+from fdsc.graph import Graph
+from fdsc.labels import (
+    e1_neighbor,
+    external_neighbor,
+    f_neighbor,
+    format_label,
+    neighbor_set,
+    swap_neighbor,
+)
 from fdsc.modcheck import ModularChecker
 
 D2, D3 = make_dim(2), make_dim(3)
@@ -32,6 +45,61 @@ class TestLabelInvariants:
         checks = check_label_invariants(make_dim(6))
         assert all(c.status == PASS for c in checks)
         assert any("sampled" in c.detail for c in checks)
+
+
+class TestDegreeSymmetryCalls:
+    """Each scanned label's neighbor list is computed once; a neighbor
+    outside a sampled scan is the only other call."""
+
+    @staticmethod
+    def _counting(monkeypatch, fn=neighbor_set):
+        calls = []
+
+        def counted(v, vdim, variant="fdsc"):
+            calls.append(v)
+            return fn(v, vdim, variant)
+
+        monkeypatch.setattr(checks, "neighbor_set", counted)
+        return calls
+
+    def test_one_call_per_label_at_d3(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        results = by_name(check_label_invariants(D3))
+        assert results["label-degree-symmetry"].status == PASS
+        assert len(calls) == 2**8
+        assert sorted(calls) == list(range(2**8))
+
+    def test_sampled_scan_calls_outside_neighbors_once_each(self, monkeypatch):
+        dim = make_dim(5)
+        labels, _ = checks._labels_to_scan(dim)
+        scanned = set(labels)
+        outside = sum(v not in scanned for u in labels for v in neighbor_set(u, dim))
+        calls = self._counting(monkeypatch)
+        assert by_name(check_label_invariants(dim))["label-degree-symmetry"].status == PASS
+        assert len(calls) == len(labels) + outside
+
+    def test_broken_label_caught_through_an_outside_neighbor(self, monkeypatch):
+        dim = make_dim(5)
+        labels, _ = checks._labels_to_scan(dim)
+        u = labels[5]
+        wrong = u ^ (1 << 8)  # not a neighbor of u, and not a scanned label
+        assert wrong not in labels and e1_neighbor(u, dim) not in labels
+        assert wrong not in neighbor_set(u, dim)
+
+        def broken(v, vdim, variant="fdsc"):
+            out = neighbor_set(v, vdim, variant)
+            if v == u and vdim == dim:
+                out[0] = wrong
+            return out
+
+        calls = self._counting(monkeypatch, broken)
+        result = by_name(check_label_invariants(dim))["label-degree-symmetry"]
+        assert result.status == FAIL
+        assert result.detail == (
+            f"asymmetric edge {format_label(u, dim)} -- {format_label(wrong, dim)} "
+            f"at neighbor position 0"
+        )
+        assert wrong in calls  # the fallback for an unscanned neighbor ran
 
 
 class TestCrossEdgeStructure:
@@ -155,6 +223,102 @@ class TestNeighborhoodStructure:
                     assert fdsc4.has_edge(a, b)
         rest = [v for v in fdsc4.adj[0] if v not in triple]
         assert rest == [parse_label("1111", D2)]
+
+
+def _edited(g, add=(), drop=()):
+    """A copy of g with the undirected edges ``add`` inserted and ``drop``
+    removed, adjacency kept sorted."""
+    adj = [set(nbrs) for nbrs in g.adj]
+    for a, b in add:
+        assert b not in adj[a]
+        adj[a].add(b)
+        adj[b].add(a)
+    for a, b in drop:
+        adj[a].remove(b)
+        adj[b].remove(a)
+    return Graph(dim=g.dim, variant=g.variant, adj=[sorted(nbrs) for nbrs in adj])
+
+
+_SHARE = re.compile(r"neighbors (\d+), (\d+) of (\d+) share (\d+) others")
+
+
+def _common_bound_violations(adj):
+    """Reference for neighbor-common-bound: every (u, v, w) where neighbors
+    v, w of u share more than one vertex besides u, with that count."""
+    sets = [frozenset(nbrs) for nbrs in adj]
+    found = {}
+    for u, nbrs in enumerate(adj):
+        for v, w in itertools.combinations(nbrs, 2):
+            common = (sets[v] & sets[w]) - {u}
+            if len(common) > 1:
+                found[(u, v, w)] = len(common)
+    return found
+
+
+def _named_violation(detail, dim):
+    v, w, u, k = _SHARE.fullmatch(detail).groups()
+    return (parse_label(u, dim), parse_label(v, dim), parse_label(w, dim)), int(k)
+
+
+_PAIRS16 = list(itertools.combinations(range(16), 2))
+
+
+class TestNeighborhoodFailures:
+    def test_two_vertices_sharing_three_neighbors_fail(self, fdsc8):
+        # join a far vertex w to three neighbors of 0: a K_{2,3} on {0, w}
+        v = 0
+        w = next(
+            x for x in range(fdsc8.vertex_count)
+            if x != v and not set(fdsc8.adj[x]) & set(fdsc8.adj[v]) and x not in fdsc8.adj[v]
+        )
+        hubs = fdsc8.adj[v][:3]
+        g = _edited(fdsc8, add=[(w, x) for x in hubs])
+        result = by_name(check_neighborhood_structure(g))["neighbor-common-bound"]
+        assert result.status == FAIL
+        triple, k = _named_violation(result.detail, D3)
+        assert _common_bound_violations(g.adj)[triple] == k
+        assert triple == (hubs[0], v, w) and k == 2  # the smallest common neighbor is the hub
+
+    def test_broken_witness_triangle_fails(self, fdsc8):
+        # the witness triangle of 0 is {u_1, u_top, u_f}; drop its u_1 -- u_f side
+        u = 0
+        g = _edited(fdsc8, drop=[(e1_neighbor(u, D3), f_neighbor(u, D3))])
+        result = by_name(check_neighborhood_structure(g))["neighbor-triangle-independent-rest"]
+        assert result.status == FAIL
+        assert result.detail == f"no neighbor triangle with independent rest at {format_label(u, D3)}"
+
+    def test_edge_inside_the_rest_fails(self, fdsc8):
+        # join two neighbors of 0 outside its witness triangle
+        u = 0
+        witness = {e1_neighbor(u, D3), swap_neighbor(u, D3.d, D3), f_neighbor(u, D3)}
+        x, y = [v for v in fdsc8.adj[u] if v not in witness][:2]
+        g = _edited(fdsc8, add=[(x, y)])
+        result = by_name(check_neighborhood_structure(g))["neighbor-triangle-independent-rest"]
+        assert result.status == FAIL
+        assert result.detail == f"no neighbor triangle with independent rest at {format_label(u, D3)}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 100),
+        st.lists(st.integers(0, 99), min_size=len(_PAIRS16), max_size=len(_PAIRS16)),
+    )
+    def test_walk_count_agrees_with_pairwise_definition(self, density, draws):
+        # a random simple graph on 16 vertices, each pair joined with
+        # probability density/100, so sparse and dense graphs both occur
+        adj = [[] for _ in range(16)]
+        for (a, b), x in zip(_PAIRS16, draws):
+            if x < density:
+                adj[a].append(b)
+                adj[b].append(a)
+        g = Graph(dim=D2, variant="fdsc", adj=adj)
+        reference = _common_bound_violations(g.adj)
+        result = by_name(check_neighborhood_structure(g))["neighbor-common-bound"]
+        assert (result.status == FAIL) == bool(reference)
+        if reference:
+            triple, k = _named_violation(result.detail, D2)
+            assert reference[triple] == k
+            u, v, w = triple
+            assert u == min(set(g.adj[v]) & set(g.adj[w]))
 
 
 class TestRunAll:

@@ -236,6 +236,15 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "malformed family JSON" in proc.stderr
 
+    def test_misspelled_leaves_key_exits_2(self, capsys, tmp_path):
+        fam = {"mode": "substructure", "m": 1, "elements": [{"center": "0000", "leafs": ["1000"]}]}
+        path = tmp_path / "leafs.json"
+        path.write_text(json.dumps(fam))
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--family", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed family JSON" in err and "'leafs'" in err
+
     @pytest.mark.parametrize("raw", [b'{"mode": ', b"\xff\xfe"], ids=["truncated", "not-utf8"])
     def test_unreadable_family_exits_2(self, capsys, tmp_path, raw):
         path = tmp_path / "bad.json"

@@ -260,3 +260,24 @@ class TestJson:
         for m in (1.7, True, "2", None):
             with pytest.raises(ParameterError, match="malformed family JSON"):
                 family_from_json({"mode": "structure", "m": m, "elements": []}, D2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # a misspelled key used to drop the leaves and read a different family
+            {"mode": "substructure", "m": 1, "elements": [{"center": "0000", "leafs": ["1000"]}]},
+            {"mode": "structure", "m": 0, "elements": [], "budget": 3},
+            # a dict of elements or leaves used to be iterated by its keys
+            {"mode": "structure", "m": 0, "elements": {"0000": []}},
+            {"mode": "substructure", "m": 1, "elements": [{"center": "0000", "leaves": {"1000": 1}}]},
+            {"mode": "substructure", "m": 1, "elements": [{"center": "0000", "leaves": "1000"}]},
+        ],
+        ids=["leafs", "top-level-extra", "elements-dict", "leaves-dict", "leaves-string"],
+    )
+    def test_unknown_keys_and_non_lists_refused(self, obj):
+        with pytest.raises(ParameterError, match="malformed family JSON"):
+            family_from_json(obj, D2)
+
+    def test_leaves_stay_optional(self):
+        fam = family_from_json({"mode": "structure", "m": 0, "elements": [{"center": "0000"}]}, D2)
+        assert [el.vertices for el in fam.elements] == [{0}]
