@@ -227,7 +227,10 @@ def check_cross_edge_structure(dim: Dim) -> list[CheckResult]:
             for c in others:
                 if c == b:
                     continue
-                edges = cross_edges(b, c, dim)
+                try:
+                    edges = cross_edges(b, c, dim)
+                except AssertionError as exc:
+                    return FAIL, f"modules {b:#x},{c:#x}: {exc}"
                 expected = 2 if c == comp else 1
                 if len(edges) != expected:
                     return FAIL, f"modules {b:#x},{c:#x}: {len(edges)} edges, expected {expected}"

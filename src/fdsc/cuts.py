@@ -262,7 +262,7 @@ def apply_cut(g: Graph, fam: FaultFamily) -> CutReport:
     census = components_after_removal(g, removed)
     isolated = None
     if census.component_sizes and census.component_sizes[-1] == 1:
-        isolated = census.smallest_component_members[0]
+        isolated = census.smallest_component_root
     return CutReport(
         removed_vertex_count=len(removed),
         census=census,

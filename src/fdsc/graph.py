@@ -26,8 +26,6 @@ from .labels import (
 )
 
 MAX_BUILD_BITS = 16
-# How many members of the smallest component a census lists.
-_MEMBER_CAP = 16
 
 
 @dataclass
@@ -62,7 +60,8 @@ class Graph:
 class ComponentCensus:
     component_count: int
     component_sizes: list[int]  # descending
-    smallest_component_members: list[int]  # capped at _MEMBER_CAP
+    # least member of the smallest component, ties to the least; None if empty
+    smallest_component_root: int | None
 
     @property
     def surviving(self) -> int:
@@ -92,30 +91,26 @@ def components_after_removal(g: Graph, removed) -> ComponentCensus:
     for u in removed:
         alive[u] = 0
     seen = bytearray(g.vertex_count)
-    comps: list[tuple[int, int]] = []  # (size, representative = smallest member)
-    smallest: tuple[int, list[int]] | None = None
+    comps: list[tuple[int, int]] = []  # (size, root = smallest member)
     adj = g.adj
     for start in range(g.vertex_count):
         if not alive[start] or seen[start]:
             continue
         seen[start] = 1
         queue = deque([start])
-        members = [start]
+        size = 1
         while queue:
             u = queue.popleft()
             for v in adj[u]:
                 if alive[v] and not seen[v]:
                     seen[v] = 1
-                    members.append(v)
+                    size += 1
                     queue.append(v)
-        comps.append((len(members), start))
-        if smallest is None or len(members) < smallest[0]:
-            smallest = (len(members), sorted(members)[:_MEMBER_CAP])
-    sizes = sorted((s for s, _ in comps), reverse=True)
+        comps.append((size, start))
     return ComponentCensus(
         component_count=len(comps),
-        component_sizes=sizes,
-        smallest_component_members=smallest[1] if smallest else [],
+        component_sizes=sorted((s for s, _ in comps), reverse=True),
+        smallest_component_root=min(comps)[1] if comps else None,
     )
 
 

@@ -17,11 +17,10 @@ For a removal S touching at most a few modules:
   partner (b, x), or on (~b, ~b) when x = b.  So a component of module b,
   held as a mask M of inner labels, has its partners in the modules of M
   other than b, plus ~b when M holds b.  With T the mask of touched
-  modules, M reaches the core iff M & ~T is non-empty or M holds b and ~b
-  is intact; when every component does, the answer is yes.  Otherwise a
-  union-find links each component M, through each touched module x in M,
-  to the component of module x that holds inner label b, and through b
-  to the one of module ~b that holds ~b.  No per-vertex table is needed.
+  modules, M reaches the core if M & ~T is non-empty or M holds b and ~b
+  is intact.  When every component does, the graph is connected;
+  otherwise the checker abstains.  It never answers "disconnected", so
+  every disconnecting set is found by the plain census.
 
 The facts this argument leans on are not assumed: the constructor proves
 them for the exact dimension in use and raises if any fails.  The module
@@ -30,8 +29,7 @@ vertex has exactly one cross edge, the module quotient is complete, every
 cross edge lands on its partner) come from
 ``checks.module_decomposition_violation``, the same proof the
 ``module-decomposition`` check reports; the constructor adds only that the
-template is connected.  Given those, ``connected`` is exact whenever at
-least one module is intact; otherwise it returns None.
+template is connected.  Given those, every True from ``connected`` is a proof.
 
 The same verified facts give a lower bound on the vertex connectivity of
 the whole graph (``module_induction_bound``) from a flow on the template
@@ -41,7 +39,7 @@ exposes it as ``kappa_lower_bound``.
 ``SurvivorCheck`` is the one "is the survivor graph connected" entry point
 that the oracle's sweeps and probes call: it decides when the checker
 applies (FDSC_n with n >= 8) and falls back to a plain component census
-whenever the checker cannot decide.
+whenever the checker abstains.
 """
 
 from __future__ import annotations
@@ -136,9 +134,8 @@ class ModularChecker:
         return comps
 
     def connected(self, removed) -> bool | None:
-        """Exact connectivity of the graph minus ``removed`` (labels).
-
-        Returns None when no module is intact (caller must fall back).
+        """True or None, never False: True proves the graph minus
+        ``removed`` (labels) connected; None sends the caller to the census.
         """
         half, mask = self.half, self.module_mask
         # module -> mask of its removed inner labels
@@ -153,57 +150,21 @@ class ModularChecker:
             apex_out = not (tmask >> (b ^ mask)) & 1
             for comp in self._components(removed_mask):
                 if not (comp & ~tmask or (apex_out and (comp >> b) & 1)):
-                    return self._linked(touched, tmask)
+                    return None
         return True
-
-    def _linked(self, touched: dict[int, int], tmask: int) -> bool:
-        """Union-find over the touched components, keyed (module, index);
-        key 0 is the intact core."""
-        mask = self.module_mask
-        comps = {b: self._components(r) for b, r in touched.items()}
-        parent: dict = {(b, i): (b, i) for b, cs in comps.items() for i in range(len(cs))}
-        parent[0] = 0
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def holder(p: int, q: int):
-            # the key holding inner label q of module p: the core if p is
-            # intact, None if q was removed
-            if p not in comps:
-                return 0
-            return next(((p, i) for i, c in enumerate(comps[p]) if (c >> q) & 1), None)
-
-        for b, cs in comps.items():
-            for i, comp in enumerate(cs):
-                if comp & ~tmask:
-                    ends = [0]  # a member's partner lies in an intact module
-                else:
-                    # (x, b) is joined to (b, x), or to (~b, ~b) when x = b
-                    ends = [
-                        holder(x, b) if x != b else holder(b ^ mask, b ^ mask)
-                        for x in comps
-                        if (comp >> x) & 1
-                    ]
-                for end in ends:
-                    if end is not None:
-                        parent[find((b, i))] = find(end)
-        root = find(0)
-        return all(find(a) == root for a in parent)
 
 
 class SurvivorCheck:
     """Is the graph minus a vertex set still connected?
 
-    Built once per graph.  ``connected(removed)`` is true iff at least two
+    Each oracle call and probe builds its own; sharing one per graph is
+    ROADMAP open item 3.  ``connected(removed)`` is true iff at least two
     vertices survive and they form one component; ``removed`` may repeat
     vertices.  With ``use_modular`` (the default), the module-decomposition
-    checker answers where it applies (FDSC_n with n >= 8) and can decide; a
-    plain component census answers otherwise.  ``use_modular=False`` forces
-    the plain route, the reference the fast one is tested against.
+    checker proves connectivity where it applies (FDSC_n with n >= 8); the
+    plain component census answers everything else, every "disconnected"
+    included.  ``use_modular=False`` forces the plain route, the reference
+    the fast one is tested against.
     """
 
     def __init__(self, g: Graph, use_modular: bool = True):
@@ -218,8 +179,6 @@ class SurvivorCheck:
         )
 
     def connected(self, removed) -> bool:
-        if self.checker is not None:
-            verdict = self.checker.connected(removed)
-            if verdict is not None:
-                return verdict
+        if self.checker is not None and self.checker.connected(removed):
+            return True
         return not components_after_removal(self.g, removed).disconnected

@@ -17,10 +17,11 @@ the result so a reviewer can audit the exhaustiveness argument:
   else (DSC_n, n <= 4, ``use_modular=False``) the exact value is computed
   by flow on the whole graph, independently of this search.  The report's
   ``prune_rule`` names the route that answered;
-* connectivity of the survivor graph is decided by the module
-  decomposition checker (``modcheck``) whose preconditions are verified
-  computationally at construction; any subset it cannot decide falls back
-  to a plain component search.
+* connectivity of the survivor graph is proved by the module
+  decomposition checker (``modcheck``), whose preconditions are verified
+  at construction.  The checker only proves connectivity, so any subset it
+  does not prove connected, and so every disconnecting subset, is found by
+  the plain component census.
 
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.

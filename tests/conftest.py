@@ -1,5 +1,6 @@
 import pytest
 
+import fdsc.graph
 from fdsc import build_graph, make_dim
 
 
@@ -26,3 +27,16 @@ def fdsc16():
 @pytest.fixture(scope="session")
 def dsc8():
     return build_graph(make_dim(3), "dsc")
+
+
+@pytest.fixture
+def no_apex_cross_edge_n8(monkeypatch):
+    """A broken FDSC_8 in ``fdsc.graph``: label 0 loses its cross edge to
+    255, so the cross-edge rule for modules 0x0 and 0xf names a non-edge."""
+    real = fdsc.graph.neighbor_set
+
+    def broken(u, dim, variant="fdsc"):
+        nbrs = real(u, dim, variant)
+        return [v for v in nbrs if v != 255] if dim.n == 8 and u == 0 else nbrs
+
+    monkeypatch.setattr(fdsc.graph, "neighbor_set", broken)

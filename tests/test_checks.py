@@ -108,6 +108,14 @@ class TestCrossEdgeStructure:
         for c in check_cross_edge_structure(make_dim(d)):
             assert c.status == PASS, (c.name, c.detail)
 
+    def test_broken_rule_fails_instead_of_raising(self, no_apex_cross_edge_n8):
+        by_name = {c.name: c for c in check_cross_edge_structure(D3)}
+        rule = by_name["cross-edge-pair-rule"]
+        assert rule.status == FAIL
+        assert rule.detail == (
+            "modules 0x0,0xf: cross-edge rule produced a non-edge (0, 255) for n=8"
+        )
+
 
 class TestNoCommonNeighbor:
     def test_holds_from_n8(self):

@@ -178,6 +178,14 @@ class TestLemmas:
         failing = [c for c in obj["checks"] if c["status"] == "fail"]
         assert [c["name"] for c in failing] == ["apex-no-common-neighbor"]
 
+    def test_broken_cross_edge_rule_exits_1_with_json(self, capsys, no_apex_cross_edge_n8):
+        code, obj, _ = run_json(capsys, "lemmas", "--d", "3")
+        assert code == 1
+        assert obj["overall"] is False
+        rule = next(c for c in obj["checks"] if c["name"] == "cross-edge-pair-rule")
+        assert rule["status"] == "fail"
+        assert "modules 0x0,0xf" in rule["detail"] and "(0, 255)" in rule["detail"]
+
 
 class TestVerify:
     def test_valid_family(self, capsys, tmp_path):

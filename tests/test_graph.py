@@ -78,13 +78,22 @@ class TestComponents:
         census = components_after_removal(fdsc4, set(range(16)))
         assert census.component_count == 0
         assert census.surviving == 0
+        assert census.smallest_component_root is None
 
     def test_isolating_removal(self, fdsc4):
         removed = {parse_label(t, D2) for t in ("1000", "1100", "1111", "0100")}
         census = components_after_removal(fdsc4, removed)
         assert census.component_count == 2
         assert census.component_sizes == [11, 1]
-        assert census.smallest_component_members == [0]
+        assert census.smallest_component_root == 0
+
+    def test_smallest_root_tie_goes_to_least(self, fdsc4):
+        # two non-adjacent survivors: equal-size components, the least wins
+        u, v = 0b0110, 0b0011
+        assert not fdsc4.has_edge(u, v)
+        census = components_after_removal(fdsc4, set(range(16)) - {u, v})
+        assert census.component_sizes == [1, 1]
+        assert census.smallest_component_root == v
 
 
 def brute_force_connectivity(g):

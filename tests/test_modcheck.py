@@ -13,13 +13,30 @@ D3 = make_dim(3)
 
 
 @pytest.fixture(scope="module")
-def checker8():
-    return ModularChecker(D3)
+def survivor8(fdsc8):
+    return SurvivorCheck(fdsc8)
+
+
+@pytest.fixture(scope="module")
+def checker8(survivor8):
+    return survivor8.checker
 
 
 def plain_connected(g, removed):
     census = components_after_removal(g, removed)
     return census.component_count == 1 and census.surviving > 1
+
+
+def census_verdict(check, removed):
+    """The census verdict, after asserting the one-sided contract: the
+    checker answers True or None, never False; its True agrees with the
+    census; and ``SurvivorCheck`` returns the census verdict."""
+    plain = plain_connected(check.g, removed)
+    fast = check.checker.connected(removed)
+    assert fast is True or fast is None, sorted(removed)
+    assert plain or fast is None, sorted(removed)
+    assert check.connected(removed) == plain, sorted(removed)
+    return plain
 
 
 class TestConstruction:
@@ -53,23 +70,25 @@ class TestModuleInductionBound:
 
 class TestAgainstPlainSearch:
     def test_random_removals_n8(self, checker8, fdsc8):
+        # the checker must not abstain too often: at most 10 removed
+        # vertices leave a module intact, so it proves every connected
+        # survivor graph, and it abstains on the rest
         rng = random.Random(1234)
-        undecided = 0
+        proved = 0
         for _ in range(1500):
             size = rng.randint(0, 10)
             removed = rng.sample(range(256), size)
-            fast = checker8.connected(removed)
-            if fast is None:
-                undecided += 1
-                continue
-            assert fast == plain_connected(fdsc8, removed), removed
-        assert undecided == 0
+            plain = plain_connected(fdsc8, removed)
+            assert checker8.connected(removed) is (True if plain else None), removed
+            proved += plain
+        assert proved > 1400
 
-    def test_neighborhood_removals_disconnect(self, checker8, fdsc8):
+    def test_neighborhood_removals_disconnect(self, survivor8):
+        # the checker abstains on every isolated hub; the census says no
         for u in range(0, 256, 17):
-            removed = list(fdsc8.adj[u])
-            assert checker8.connected(removed) is False
-            assert not plain_connected(fdsc8, removed)
+            removed = list(survivor8.g.adj[u])
+            assert survivor8.checker.connected(removed) is None
+            assert census_verdict(survivor8, removed) is False
 
     def test_concentrated_removals(self, checker8, fdsc8):
         # stress in-module fragmentation: wipe most of one module plus extras
@@ -84,10 +103,10 @@ class TestAgainstPlainSearch:
                 continue
             assert fast == plain_connected(fdsc8, set(removed)), removed
 
-    def test_adversarial_fragmentation(self, checker8, fdsc8):
+    def test_adversarial_fragmentation(self, survivor8):
         # fragment a few modules heavily and knock out cross partners of
-        # their survivors, so both the fast path and the union-find over
-        # component-to-component links answer; both verdicts occur
+        # their survivors, so the checker proves some queries and abstains
+        # on others; both census verdicts occur
         rng = random.Random(2024)
         verdicts = {True: 0, False: 0}
         for _ in range(2000):
@@ -101,28 +120,34 @@ class TestAgainstPlainSearch:
                     v = (x << 4) | b
                     if v not in removed and rng.random() < 0.2:
                         removed.add(external_neighbor(v, D3))
-            fast = checker8.connected(removed)
-            assert fast is not None
-            assert fast == plain_connected(fdsc8, removed), sorted(removed)
-            verdicts[fast] += 1
+            verdicts[census_verdict(survivor8, removed)] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
-    def test_apex_edge_is_the_only_link(self, checker8, fdsc8):
+    def test_apex_edge_is_the_only_link(self, survivor8):
         # module b keeps only (b, b), whose one cross edge is the apex edge to
-        # (~b, ~b); module ~b is touched, so only the union-find can decide
+        # (~b, ~b); module ~b is touched, so the checker abstains and the
+        # census decides, either way
         b = 0x3
         removed = {(x << 4) | b for x in range(16) if x != b} | {(0x0 << 4) | 0xC}
-        assert checker8.connected(removed) is True
-        assert plain_connected(fdsc8, removed)
+        assert survivor8.checker.connected(removed) is None
+        assert census_verdict(survivor8, removed) is True
         removed.add((0xC << 4) | 0xC)
-        assert checker8.connected(removed) is False
-        assert not plain_connected(fdsc8, removed)
+        assert survivor8.checker.connected(removed) is None
+        assert census_verdict(survivor8, removed) is False
 
-    def test_slow_route(self, checker8, fdsc8):
+    def test_apex_edge_to_an_intact_module_proves(self, survivor8):
+        # the same lone (b, b), but with ~b intact: the apex edge reaches the
+        # core, so the checker itself proves connectivity
+        b = 0x3
+        removed = {(x << 4) | b for x in range(16) if x != b}
+        assert survivor8.checker.connected(removed) is True
+        assert census_verdict(survivor8, removed) is True
+
+    def test_slow_route(self, survivor8):
         # "closed" modules lose every vertex whose partner lies outside the
-        # touched modules, so no closed component passes the fast path; one
-        # "open" module keeps a route to the intact core that the closed
-        # components may or may not reach
+        # touched modules, so no closed component passes the fast path and
+        # the census decides; one "open" module keeps a route to the intact
+        # core that the closed components may or may not reach
         rng = random.Random(77)
         verdicts = {True: 0, False: 0}
         for _ in range(1000):
@@ -135,21 +160,21 @@ class TestAgainstPlainSearch:
             removed |= {v for v in range(256) if v & 15 in mods and rng.random() < 0.1}
             removed |= {(x << 4) | open_module for x in rng.sample(range(16), 3)}
             assert any(v not in removed for v in range(256) if v & 15 in closed)
-            fast = checker8.connected(removed)
-            assert fast == plain_connected(fdsc8, removed), sorted(removed)
-            verdicts[fast] += 1
+            assert survivor8.checker.connected(removed) is None
+            verdicts[census_verdict(survivor8, removed)] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
     def test_spot_checks_n16(self, fdsc16):
-        checker = ModularChecker(make_dim(4))
+        check = SurvivorCheck(fdsc16)
         rng = random.Random(5)
         for _ in range(25):
             removed = rng.sample(range(65536), rng.randint(0, 9))
-            fast = checker.connected(removed)
-            assert fast == plain_connected(fdsc16, removed)
+            assert check.checker.connected(removed) is True
+            assert census_verdict(check, removed) is True
         # a full neighborhood disconnects by isolating its hub
         removed = list(fdsc16.adj[12345])
-        assert checker.connected(removed) is False
+        assert check.checker.connected(removed) is None
+        assert census_verdict(check, removed) is False
 
     def test_empty_removal(self, checker8):
         assert checker8.connected([]) is True
@@ -181,8 +206,8 @@ def test_survivor_check_matches_census_n16(fdsc16):
     """On removals inside a few modules of FDSC_16 (a label's low byte is
     its module, the high byte its inner label), from a handful of vertices
     up to heavy fragmentation, sometimes with a whole neighborhood so that
-    both verdicts occur, the modular route decides every query and agrees
-    with the plain census."""
+    both verdicts occur, the checker proves or abstains, never contradicts
+    the plain census, and ``SurvivorCheck`` returns the census verdict."""
     check = SurvivorCheck(fdsc16)
     verdicts = {True: 0, False: 0}
 
@@ -199,10 +224,7 @@ def test_survivor_check_matches_census_n16(fdsc16):
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(few_module_removals())
     def agrees(removed):
-        fast = check.checker.connected(removed)
-        assert fast is not None
-        assert fast == check.connected(removed) == plain_connected(fdsc16, removed)
-        verdicts[fast] += 1
+        verdicts[census_verdict(check, removed)] += 1
 
     agrees()
     assert verdicts[True] > 0 and verdicts[False] > 0
