@@ -36,6 +36,11 @@ the whole graph (``module_induction_bound``) from a flow on the template
 alone, so no flow ever runs on the 2^n-vertex graph; the constructor
 exposes it as ``kappa_lower_bound``.
 
+A query is a *footprint* (``footprint``): the removed set split once into
+its modules, each with the mask of its removed inner labels.  The sweeps
+compute one footprint per candidate and merge them per subset, so no label
+is split twice; ``SurvivorCheck`` splits label lists for everyone else.
+
 ``SurvivorCheck`` is the one "is the survivor graph connected" entry point
 that the oracle's sweeps and probes call: it decides when the checker
 applies (FDSC_n with n >= 8) and falls back to a plain component census
@@ -43,6 +48,8 @@ whenever the checker abstains.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .checks import module_decomposition_violation
 from .errors import ParameterError
@@ -56,6 +63,18 @@ from .graph import (
 from .labels import FDSC, Dim, make_dim
 
 _CACHE_SOFT_CAP = 200_000
+
+
+def footprint(vertices, dim: Dim) -> dict[int, int]:
+    """Module b -> mask of the removed inner labels x, for labels v = (x, b)
+    with b = v & module_mask and x = v >> half.  The split is a bijection, so
+    the popcounts of the masks sum to the number of distinct labels."""
+    half, mask = dim.half, dim.module_mask
+    out: dict[int, int] = {}
+    for v in vertices:
+        b = v & mask
+        out[b] = out.get(b, 0) | (1 << (v >> half))
+    return out
 
 
 def module_induction_bound(
@@ -110,9 +129,8 @@ class ModularChecker:
         self._comp_cache: dict[int, tuple[int, ...]] = {}
 
     def _components(self, removed_mask: int) -> tuple[int, ...]:
-        comps = self._comp_cache.get(removed_mask)
-        if comps is not None:
-            return comps
+        """Components of the template minus ``removed_mask``, as masks of
+        inner labels, added to the cache that ``connected`` reads."""
         adj = self.template.adj
         left = ((1 << self.module_count) - 1) & ~removed_mask  # survivors not yet reached
         out = []
@@ -133,32 +151,43 @@ class ModularChecker:
         self._comp_cache[removed_mask] = comps
         return comps
 
-    def connected(self, removed) -> bool | None:
-        """True or None, never False: True proves the graph minus
-        ``removed`` (labels) connected; None sends the caller to the census.
+    def connected(self, touched: dict[int, int]) -> bool | None:
+        """True or None, never False: True proves the graph minus the
+        removed set connected, given as its ``footprint`` ``touched``
+        (module -> mask of removed inner labels); None sends the caller to
+        the census.
         """
-        half, mask = self.half, self.module_mask
-        # module -> mask of its removed inner labels
-        touched: dict[int, int] = {}
-        for v in removed:
-            b = v & mask
-            touched[b] = touched.get(b, 0) | (1 << (v >> half))
         if len(touched) >= self.module_count:
             return None
-        tmask = sum(1 << b for b in touched)
+        mask, cache = self.module_mask, self._comp_cache
+        tmask = 0
+        for b in touched:
+            tmask |= 1 << b
+        outside = ~tmask
         for b, removed_mask in touched.items():
+            comps = cache.get(removed_mask)
+            if comps is None:
+                comps = self._components(removed_mask)
             apex_out = not (tmask >> (b ^ mask)) & 1
-            for comp in self._components(removed_mask):
-                if not (comp & ~tmask or (apex_out and (comp >> b) & 1)):
+            for comp in comps:
+                if not (comp & outside or (apex_out and (comp >> b) & 1)):
                     return None
         return True
+
+
+@functools.lru_cache(maxsize=None)
+def modular_checker(dim: Dim) -> ModularChecker:
+    """The one ``ModularChecker`` per dimension.  Its state is a function of
+    the dimension alone (the verified template, the kappa bound, and
+    components keyed by removed inner mask), so every caller may share it."""
+    return ModularChecker(dim)
 
 
 class SurvivorCheck:
     """Is the graph minus a vertex set still connected?
 
-    Each oracle call and probe builds its own; sharing one per graph is
-    ROADMAP open item 3.  ``connected(removed)`` is true iff at least two
+    Oracle calls and probes on one dimension share its checker
+    (``modular_checker``).  ``connected(removed)`` is true iff at least two
     vertices survive and they form one component; ``removed`` may repeat
     vertices.  With ``use_modular`` (the default), the module-decomposition
     checker proves connectivity where it applies (FDSC_n with n >= 8); the
@@ -170,7 +199,7 @@ class SurvivorCheck:
     def __init__(self, g: Graph, use_modular: bool = True):
         self.g = g
         applies = use_modular and g.variant == FDSC and g.dim.n >= 8
-        self.checker = ModularChecker(g.dim) if applies else None
+        self.checker = modular_checker(g.dim) if applies else None
         self.method = (
             "module-decomposition checker (preconditions verified at "
             "construction), plain search fallback"
@@ -179,6 +208,6 @@ class SurvivorCheck:
         )
 
     def connected(self, removed) -> bool:
-        if self.checker is not None and self.checker.connected(removed):
+        if self.checker is not None and self.checker.connected(footprint(removed, self.g.dim)):
             return True
         return not components_after_removal(self.g, removed).disconnected

@@ -16,7 +16,10 @@ the result so a reviewer can audit the exhaustiveness argument:
   the minimum degree and so is exact at n = 8 and n = 16.  Everywhere
   else (DSC_n, n <= 4, ``use_modular=False``) the exact value is computed
   by flow on the whole graph, independently of this search.  The report's
-  ``prune_rule`` names the route that answered;
+  ``prune_rule`` names the route that answered.  Applied to a whole size t,
+  the same rule skips the level: if t times the largest element size is
+  below the bound, every t-subset is counted examined and pruned without
+  a visit;
 * connectivity of the survivor graph is proved by the module
   decomposition checker (``modcheck``), whose preconditions are verified
   at construction.  The checker only proves connectivity, so any subset it
@@ -26,8 +29,13 @@ the result so a reviewer can audit the exhaustiveness argument:
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
 
-``_sweep`` is the one sweep engine, a stateless function of the element
-vertex sets, the family size and a kappa bound.
+``_sweep`` is the one sweep engine, a stateless function of the
+candidates, their footprints, the family size and a kappa bound.  A
+candidate's footprint (``modcheck.footprint``) is its vertex set split
+once per call into (module, mask of inner labels) pairs.  The sweep merges
+the footprints of each (t-1)-prefix once, reads a subset's union size as
+the popcount sum of the merged masks, and hands the merged footprint to
+the checker; the label list is built only for the census.
 
 Faults have one vocabulary, the ``FaultFamily``: a vertex is a 0-leaf
 star and an edge a 1-leaf star, so a mix of vertex and edge removals is a
@@ -36,9 +44,10 @@ K_{1,1}-substructure family.  The exhaustive mixed removal check is
 sampled check and the probe report their violations as families.
 
 Every survivor question here (the family sweeps, the sampled removal check
-and both probe modes) goes through one entry point,
-``modcheck.SurvivorCheck``, which owns the rule for when the checker
-applies and the census fallback.
+and both probe modes) goes through ``modcheck.SurvivorCheck``, which owns
+the rule for when the checker applies.  The sampled check and the probes
+call its ``connected``; the sweep asks its checker with merged footprints
+and falls back to the same plain census.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from .cuts import (
 from .errors import ParameterError
 from .graph import Graph, components_after_removal, vertex_connectivity
 from .labels import FDSC, Dim
-from .modcheck import SurvivorCheck
+from .modcheck import SurvivorCheck, footprint
 
 GENERATOR_ID = "python-random-mt19937"
 
@@ -152,26 +161,63 @@ class OracleResult:
         }
 
 
-def _sweep(vertex_sets: list[tuple[int, ...]], t: int, kappa: int, connected):
-    """First size-t subset of the elements (vertex tuples, lexicographic
-    index order) whose removal makes ``connected`` false, or None, with the
-    counts of subsets examined and pruned; a removed-vertex union smaller
-    than ``kappa``, a lower bound on vertex connectivity, is pruned."""
-    masks = [sum(1 << v for v in vs) for vs in vertex_sets]
+def _footprints(candidates: list[Star], dim: Dim) -> list[tuple[tuple[int, int], ...]]:
+    """Each candidate's ``modcheck.footprint`` as a tuple of (module, inner
+    mask) pairs.  Equal pairs are stored once: the 6,848 K_{1,5}-substructure
+    stars of FDSC_8 hold 10,816 pairs, of which 2,880 are distinct."""
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    return [
+        tuple(shared.setdefault(pair, pair) for pair in footprint(c.vertices, dim).items())
+        for c in candidates
+    ]
+
+
+def _sweep(
+    candidates: list[Star], footprints: list, t: int, kappa: int, survivors: SurvivorCheck
+):
+    """First size-t subset of the candidates (index tuple, lexicographic
+    order) whose removal disconnects the graph of ``survivors``, or None,
+    with the counts of subsets examined and pruned.
+
+    ``footprints[k]`` is candidate k's footprint (``_footprints``).  A
+    subset's footprint is the merge of its members', and its removed-vertex
+    union size is the popcount sum of the merged masks.  A union smaller
+    than ``kappa``, a lower bound on vertex connectivity, is pruned; when t
+    elements of the largest size cannot reach ``kappa``, the whole level is
+    pruned without a visit.  The checker sees the merged footprint; only
+    when it abstains are the labels listed for the census.
+    """
+    count = len(footprints)
+    largest = max((sum(inner.bit_count() for _, inner in fp) for fp in footprints), default=0)
+    if t * largest < kappa:
+        total = math.comb(count, t)
+        return None, total, total
+    proves = survivors.checker.connected if survivors.checker is not None else None
     examined = pruned = 0
-    for combo in itertools.combinations(range(len(masks)), t):
-        examined += 1
-        union = 0
-        for i in combo:
-            union |= masks[i]
-        if union.bit_count() < kappa:
-            pruned += 1
-            continue
-        removed = []
-        for i in combo:
-            removed += vertex_sets[i]
-        if not connected(removed):
-            return combo, examined, pruned
+    for prefix in itertools.combinations(range(count), t - 1):
+        merged: dict[int, int] = {}
+        for k in prefix:
+            for b, inner in footprints[k]:
+                merged[b] = merged.get(b, 0) | inner
+        size = sum(inner.bit_count() for inner in merged.values())
+        for i in range(prefix[-1] + 1 if prefix else 0, count):
+            examined += 1
+            union = size
+            for b, inner in footprints[i]:
+                union += (inner & ~merged.get(b, 0)).bit_count()
+            if union < kappa:
+                pruned += 1
+                continue
+            if proves is not None:
+                touched = merged.copy()
+                for b, inner in footprints[i]:
+                    touched[b] = touched.get(b, 0) | inner
+                if proves(touched):
+                    continue
+            combo = (*prefix, i)
+            removed = [v for k in combo for v in candidates[k].vertices]
+            if components_after_removal(survivors.g, removed).disconnected:
+                return combo, examined, pruned
     return None, examined, pruned
 
 
@@ -189,7 +235,7 @@ def exact_structure_connectivity(
         raise ParameterError(f"size budget must be >= 1, got {size_budget}")
     start = time.perf_counter()
     candidates = enumerate_candidates(g, m, mode)
-    vertex_sets = [tuple(sorted(c.vertices)) for c in candidates]
+    footprints = _footprints(candidates, g.dim)
     survivors = SurvivorCheck(g, use_modular)
     checker = survivors.checker
     if checker is not None and checker.kappa_lower_bound is not None:
@@ -208,7 +254,7 @@ def exact_structure_connectivity(
     examined = pruned = 0
     certificate = None
     for t in range(1, size_budget + 1):
-        hit, t_examined, t_pruned = _sweep(vertex_sets, t, kappa, survivors.connected)
+        hit, t_examined, t_pruned = _sweep(candidates, footprints, t, kappa, survivors)
         examined += t_examined
         pruned += t_pruned
         if hit is not None:

@@ -1,6 +1,7 @@
 import pytest
 
 import fdsc.graph
+import fdsc.modcheck
 from fdsc import build_graph, make_dim
 
 
@@ -40,3 +41,14 @@ def no_apex_cross_edge_n8(monkeypatch):
         return [v for v in nbrs if v != 255] if dim.n == 8 and u == 0 else nbrs
 
     monkeypatch.setattr(fdsc.graph, "neighbor_set", broken)
+
+
+@pytest.fixture
+def fresh_checkers():
+    """An empty per-dimension checker memo (``modcheck.modular_checker``)
+    during the test and after it, for a test that patches what a checker
+    is built from: the patched build is neither served from nor left in
+    the memo."""
+    fdsc.modcheck.modular_checker.cache_clear()
+    yield
+    fdsc.modcheck.modular_checker.cache_clear()

@@ -197,7 +197,9 @@ class TestModuleDecompositionProof:
             ("wrong-partner", "not at its partner"),
         ],
     )
-    def test_one_wrong_neighbor_fails_both_users(self, name, fact, monkeypatch, fdsc8):
+    def test_one_wrong_neighbor_fails_both_users(
+        self, name, fact, monkeypatch, fdsc8, fresh_checkers
+    ):
         monkeypatch.setattr(checks, "neighbor_set", _fault(name, D3))
         violation = checks.module_decomposition_violation(D3)
         assert violation is not None and violation.startswith("module 0x5:"), violation

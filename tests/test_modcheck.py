@@ -5,8 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsc import ParameterError, components_after_removal, make_dim, vertex_connectivity
-from fdsc.labels import external_neighbor
-from fdsc.modcheck import ModularChecker, SurvivorCheck, module_induction_bound
+from fdsc.labels import DSC, FDSC, external_neighbor, neighbor_set
+from fdsc.modcheck import (
+    ModularChecker,
+    SurvivorCheck,
+    footprint,
+    modular_checker,
+    module_induction_bound,
+)
 
 
 D3 = make_dim(3)
@@ -27,12 +33,17 @@ def plain_connected(g, removed):
     return census.component_count == 1 and census.surviving > 1
 
 
+def proves(check, removed):
+    """The checker's answer on a label list, given as its footprint."""
+    return check.checker.connected(footprint(removed, check.g.dim))
+
+
 def census_verdict(check, removed):
     """The census verdict, after asserting the one-sided contract: the
     checker answers True or None, never False; its True agrees with the
     census; and ``SurvivorCheck`` returns the census verdict."""
     plain = plain_connected(check.g, removed)
-    fast = check.checker.connected(removed)
+    fast = proves(check, removed)
     assert fast is True or fast is None, sorted(removed)
     assert plain or fast is None, sorted(removed)
     assert check.connected(removed) == plain, sorted(removed)
@@ -46,6 +57,41 @@ class TestConstruction:
 
     def test_builds_n16(self):
         assert ModularChecker(make_dim(4)).kappa_lower_bound == 6
+
+    def test_one_checker_per_dimension(self, fdsc8, survivor8):
+        assert SurvivorCheck(fdsc8).checker is survivor8.checker is modular_checker(D3)
+        assert modular_checker(make_dim(4)) is not survivor8.checker
+
+
+@pytest.mark.parametrize("d,variant", [(2, FDSC), (3, DSC), (3, FDSC), (4, FDSC)])
+def test_footprint_splits_labels(d, variant):
+    """On random star families, repeats included, a footprint names each
+    removed label once, as inner label x of module b with label (x, b) =
+    (x << half) | b: its popcounts sum to the number of distinct labels,
+    and merging the stars' footprints gives the family's."""
+    dim = make_dim(d)
+    rng = random.Random(d)
+    for _ in range(200):
+        stars = []
+        for _ in range(rng.randint(1, 4)):
+            center = rng.randrange(1 << dim.n)
+            nbrs = neighbor_set(center, dim, variant)
+            stars.append([center, *rng.sample(nbrs, rng.randint(0, len(nbrs)))])
+        vertices = [v for s in stars for v in s]
+        fp = footprint(vertices, dim)
+        assert sum(inner.bit_count() for inner in fp.values()) == len(set(vertices))
+        decoded = {
+            (x << dim.half) | b
+            for b, inner in fp.items()
+            for x in range(1 << dim.half)
+            if inner >> x & 1
+        }
+        assert decoded == set(vertices)
+        merged = {}
+        for s in stars:
+            for b, inner in footprint(s, dim).items():
+                merged[b] = merged.get(b, 0) | inner
+        assert merged == fp
 
 
 class TestModuleInductionBound:
@@ -79,7 +125,7 @@ class TestAgainstPlainSearch:
             size = rng.randint(0, 10)
             removed = rng.sample(range(256), size)
             plain = plain_connected(fdsc8, removed)
-            assert checker8.connected(removed) is (True if plain else None), removed
+            assert checker8.connected(footprint(removed, D3)) is (True if plain else None), removed
             proved += plain
         assert proved > 1400
 
@@ -87,7 +133,7 @@ class TestAgainstPlainSearch:
         # the checker abstains on every isolated hub; the census says no
         for u in range(0, 256, 17):
             removed = list(survivor8.g.adj[u])
-            assert survivor8.checker.connected(removed) is None
+            assert proves(survivor8, removed) is None
             assert census_verdict(survivor8, removed) is False
 
     def test_concentrated_removals(self, checker8, fdsc8):
@@ -98,7 +144,7 @@ class TestAgainstPlainSearch:
             inner = rng.sample(range(16), rng.randint(8, 14))
             removed = [(x << 4) | base for x in inner]
             removed += rng.sample(range(256), rng.randint(0, 4))
-            fast = checker8.connected(set(removed))
+            fast = checker8.connected(footprint(set(removed), D3))
             if fast is None:
                 continue
             assert fast == plain_connected(fdsc8, set(removed)), removed
@@ -129,10 +175,10 @@ class TestAgainstPlainSearch:
         # census decides, either way
         b = 0x3
         removed = {(x << 4) | b for x in range(16) if x != b} | {(0x0 << 4) | 0xC}
-        assert survivor8.checker.connected(removed) is None
+        assert proves(survivor8, removed) is None
         assert census_verdict(survivor8, removed) is True
         removed.add((0xC << 4) | 0xC)
-        assert survivor8.checker.connected(removed) is None
+        assert proves(survivor8, removed) is None
         assert census_verdict(survivor8, removed) is False
 
     def test_apex_edge_to_an_intact_module_proves(self, survivor8):
@@ -140,7 +186,7 @@ class TestAgainstPlainSearch:
         # core, so the checker itself proves connectivity
         b = 0x3
         removed = {(x << 4) | b for x in range(16) if x != b}
-        assert survivor8.checker.connected(removed) is True
+        assert proves(survivor8, removed) is True
         assert census_verdict(survivor8, removed) is True
 
     def test_slow_route(self, survivor8):
@@ -160,7 +206,7 @@ class TestAgainstPlainSearch:
             removed |= {v for v in range(256) if v & 15 in mods and rng.random() < 0.1}
             removed |= {(x << 4) | open_module for x in rng.sample(range(16), 3)}
             assert any(v not in removed for v in range(256) if v & 15 in closed)
-            assert survivor8.checker.connected(removed) is None
+            assert proves(survivor8, removed) is None
             verdicts[census_verdict(survivor8, removed)] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
@@ -169,15 +215,15 @@ class TestAgainstPlainSearch:
         rng = random.Random(5)
         for _ in range(25):
             removed = rng.sample(range(65536), rng.randint(0, 9))
-            assert check.checker.connected(removed) is True
+            assert proves(check, removed) is True
             assert census_verdict(check, removed) is True
         # a full neighborhood disconnects by isolating its hub
         removed = list(fdsc16.adj[12345])
-        assert check.checker.connected(removed) is None
+        assert proves(check, removed) is None
         assert census_verdict(check, removed) is False
 
     def test_empty_removal(self, checker8):
-        assert checker8.connected([]) is True
+        assert checker8.connected({}) is True
 
 
 @pytest.mark.parametrize("name", ["fdsc4", "fdsc8", "dsc8"])
@@ -190,7 +236,7 @@ def test_survivor_check_matches_census(name, request):
     # even-weight vertices: half of every module, so none is intact
     every_other = [v for v in range(size) if v.bit_count() % 2 == 0]
     if check.checker is not None:
-        assert check.checker.connected(every_other) is None
+        assert proves(check, every_other) is None
     for removed in ([], list(range(1, size)), list(g.adj[0]), every_other):
         assert check.connected(removed) == plain_connected(g, removed), removed
 

@@ -19,6 +19,7 @@ from fdsc import (
 )
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE
 from fdsc.graph import components_after_removal
+from fdsc.oracle import _footprints, _sweep
 
 D2, D3 = make_dim(2), make_dim(3)
 
@@ -137,11 +138,14 @@ class TestExactValues:
             assert route in rule, rule
             assert "smaller than the exact vertex connectivity" in rule
 
-    def test_weaker_bound_is_not_called_exact(self, fdsc8, monkeypatch):
+    def test_weaker_bound_is_not_called_exact(self, fdsc8, monkeypatch, fresh_checkers):
         # a sound bound below the minimum degree still prunes soundly, but
         # the report must not call it the exact connectivity
         exact = exact_structure_connectivity(fdsc8, 2, STRUCTURE, 2)
         monkeypatch.setattr(modcheck, "module_induction_bound", lambda *args: 4)
+        # the checker is shared per dimension, so the patched bound needs a
+        # fresh one
+        modcheck.modular_checker.cache_clear()
         weak = exact_structure_connectivity(fdsc8, 2, STRUCTURE, 2)
         assert weak.notes["prune_rule"].startswith(
             "subsets with removed-vertex union smaller than the proven "
@@ -161,6 +165,57 @@ class TestExactValues:
     def test_budget_validation(self, fdsc2):
         with pytest.raises(ParameterError):
             exact_structure_connectivity(fdsc2, 1, STRUCTURE, 0)
+
+
+class TestSweep:
+    def test_matches_plain_route_t3(self, fdsc8):
+        # the first 60 K_{1,1}-substructure candidates (vertices and edges
+        # on centers 0..9): the checker route, the census-only route and a
+        # set-union recount agree on the hit, examined and pruned
+        cands = enumerate_candidates(fdsc8, 1, SUBSTRUCTURE)[:60]
+        footprints = _footprints(cands, fdsc8.dim)
+        fast = _sweep(cands, footprints, 3, 5, modcheck.SurvivorCheck(fdsc8))
+        plain = _sweep(cands, footprints, 3, 5, modcheck.SurvivorCheck(fdsc8, use_modular=False))
+        small = sum(
+            len(set().union(*(c.vertices for c in combo))) < 5
+            for combo in itertools.combinations(cands, 3)
+        )
+        assert fast == plain == (None, math.comb(60, 3), small)
+        assert 0 < small < math.comb(60, 3)
+
+    def test_wholly_pruned_levels_are_counted(self, fdsc8):
+        # vertices and edges have at most 2 vertices, so t <= 2 of them
+        # never reach kappa = 5: both levels are pruned without a visit
+        result = exact_structure_connectivity(fdsc8, 1, SUBSTRUCTURE, 2)
+        assert result.examined == result.pruned == 896 + math.comb(896, 2) == 401_856
+        assert result.connectivity_checks == 0
+
+    def test_level_at_the_bound_is_swept(self, fdsc8):
+        # t * max|element| = 1 * 5 = kappa: the five-vertex stars of m = 4
+        # reach kappa, so the level is swept and none is pruned
+        result = exact_structure_connectivity(fdsc8, 4, STRUCTURE, 1)
+        assert (result.value, result.candidates) == (None, 1280)
+        assert (result.examined, result.pruned) == (1280, 0)
+
+    @pytest.mark.parametrize(
+        "name,m,mode,budget,expected",
+        [
+            # (value, candidates, examined, pruned, certificate) as the
+            # label-list sweep gave them
+            ("dsc8", 2, STRUCTURE, 2, (2, 1536, 9673, 1536, [(0, [240, 255]), (79, [143, 207])])),
+            ("fdsc4", 1, SUBSTRUCTURE, 3, (2, 48, 215, 146, [(0, [12]), (7, [11])])),
+            ("fdsc4", 3, SUBSTRUCTURE, 3, (2, 164, 214, 137, [(0, []), (3, [7, 11])])),
+            ("fdsc4", 0, STRUCTURE, 4, (4, 16, 697, 696, [(0, []), (1, []), (2, []), (3, [])])),
+        ],
+    )
+    def test_routes_without_checker(self, name, m, mode, budget, expected, request):
+        g = request.getfixturevalue(name)
+        assert modcheck.SurvivorCheck(g).checker is None
+        result = exact_structure_connectivity(g, m, mode, budget)
+        certificate = [(s.center, sorted(s.leaves)) for s in result.certificate.elements]
+        assert (
+            result.value, result.candidates, result.examined, result.pruned, certificate
+        ) == expected
 
 
 @pytest.mark.parametrize("mode", [STRUCTURE, SUBSTRUCTURE])
