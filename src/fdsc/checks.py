@@ -7,6 +7,10 @@ named, never diagnosed).  Graph-backed checks run at the materialization
 cap (n <= 16) and are marked skipped beyond it; label-level checks run for
 every supported width, exhaustively up to n = 16 and on a fixed
 deterministic sample above that.
+
+``run_all`` computes each label's ``neighbor_set`` once, into one positional
+table that the label checks and the module-decomposition proof read; its
+rows are then sorted in place into the graph the other graph checks use.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import ParameterError
 from .graph import (
     MAX_BUILD_BITS,
     Graph,
-    build_graph,
     cross_edges,
     girth,
     quotient_census,
@@ -103,6 +106,19 @@ def _modules_to_scan(dim: Dim) -> tuple[list[int], str]:
     return values, scope
 
 
+def _neighbor_table(dim: Dim) -> list[list[int]] | dict[int, list[int]]:
+    """``neighbor_set(u)`` of every scanned label, each computed once: a list
+    over all labels up to n = 16, else a dict over the sample and the
+    neighbors of its labels."""
+    labels, _ = _labels_to_scan(dim)
+    if dim.n <= MAX_BUILD_BITS:
+        return [neighbor_set(u, dim) for u in labels]
+    table = {u: neighbor_set(u, dim) for u in labels}
+    for v in {v for row in table.values() for v in row} - table.keys():
+        table[v] = neighbor_set(v, dim)
+    return table
+
+
 def _timed(name: str, fn) -> CheckResult:
     start = time.perf_counter()
     status, detail = fn()
@@ -114,32 +130,32 @@ def _timed(name: str, fn) -> CheckResult:
     )
 
 
-def check_label_invariants(dim: Dim) -> list[CheckResult]:
+def check_label_invariants(dim: Dim, table=None) -> list[CheckResult]:
     """Neighbor maps are fixed-point-free involutions, neighbor lists have
     the right degree with pairwise-distinct members, adjacency is symmetric
     with matching kinds (v at position i of N(u) exactly when u is at
     position i of N(v)), and the top-level swap complements exactly s_1 s_2
-    (so e1 after it equals the folded map)."""
+    (so e1 after it equals the folded map).  Each map is read at its
+    position in ``table`` (``_neighbor_table(dim)`` by default)."""
     labels, scope = _labels_to_scan(dim)
+    table = table if table is not None else _neighbor_table(dim)
     expected_degree = dim.d + 2
+    # neighbor_set positions: swap level k >= 2 at k-1, level 1 (cross) at d
+    swap_at = {k: k - 1 if k > 1 else dim.d for k in range(1, dim.d + 1)}
 
     def involutions():
-        maps = [("e1", lambda u: e1_neighbor(u, dim)), ("ef", lambda u: f_neighbor(u, dim))]
-        for k in range(1, dim.d + 1):
-            maps.append((f"swap{k}", lambda u, k=k: swap_neighbor(u, k, dim)))
-        for name, fn in maps:
+        maps = [("e1", 0), ("ef", dim.d + 1)]
+        maps += [(f"swap{k}", i) for k, i in swap_at.items()]
+        for name, i in maps:
             for u in labels:
-                v = fn(u)
+                v = table[u][i]
                 if v == u:
                     return FAIL, f"{name} fixes {format_label(u, dim)}"
-                if fn(v) != u:
+                if table[v][i] != u:
                     return FAIL, f"{name} is not an involution at {format_label(u, dim)}"
         return PASS, f"{scope}; {len(labels)} labels, d+1 swap levels"
 
     def degree_and_symmetry():
-        # each scanned label's list is computed once and read back for the
-        # symmetry test; only a neighbor outside a sampled scan gets a call
-        table = {u: neighbor_set(u, dim) for u in labels}
         for u in labels:
             nbrs = table[u]
             seen_labels = set(nbrs)
@@ -151,10 +167,7 @@ def check_label_invariants(dim: Dim) -> list[CheckResult]:
             if u in seen_labels:
                 return FAIL, f"{format_label(u, dim)} adjacent to itself"
             for i, v in enumerate(nbrs):
-                back = table.get(v)
-                if back is None:
-                    back = neighbor_set(v, dim)
-                if back[i] != u:
+                if table[v][i] != u:
                     return FAIL, (
                         f"asymmetric edge {format_label(u, dim)} -- "
                         f"{format_label(v, dim)} at neighbor position {i}"
@@ -163,10 +176,12 @@ def check_label_invariants(dim: Dim) -> list[CheckResult]:
 
     def top_swap_flips_two():
         head_mask = 0b11 << (dim.n - 2)
+        top = swap_at[dim.d]
         for u in labels:
-            if swap_neighbor(u, dim.d, dim) != u ^ head_mask:
+            v = table[u][top]
+            if v != u ^ head_mask:
                 return FAIL, f"top swap at {format_label(u, dim)} is not a s1,s2 flip"
-            if e1_neighbor(swap_neighbor(u, dim.d, dim), dim) != f_neighbor(u, dim):
+            if table[v][0] != table[u][dim.d + 1]:
                 return FAIL, f"e1 after top swap differs from folded map at {format_label(u, dim)}"
         return PASS, scope
 
@@ -177,23 +192,26 @@ def check_label_invariants(dim: Dim) -> list[CheckResult]:
     ]
 
 
-def check_cross_edge_structure(dim: Dim) -> list[CheckResult]:
+def check_cross_edge_structure(dim: Dim, table=None) -> list[CheckResult]:
     """Cross-edge facts, at label level: each vertex has exactly one cross
     edge; the apex pair of a module both reach the complementary module, on
     distinct vertices; all other vertices reach pairwise-distinct modules;
     module pairs carry two cross edges exactly when complementary, else
-    one, with the stated endpoints."""
+    one, with the stated endpoints.  A full ``table`` supplies the cross edges."""
     if dim.n < 4:
         raise ParameterError("cross-edge structure needs n >= 4")
     modules, scope = _modules_to_scan(dim)
+
+    def cross(u):
+        return external_neighbor(u, dim) if table is None else table[u][dim.d]
 
     def per_module_targets():
         inner_values, inner_full = _sample_values(1 << dim.half, 1 << min(dim.half, 8))
         for b in modules:
             comp = complement_address(b, dim)
             apex_low, apex_high = apex_pair(b, dim)
-            ext_low = external_neighbor(apex_low, dim)
-            ext_high = external_neighbor(apex_high, dim)
+            ext_low = cross(apex_low)
+            ext_high = cross(apex_high)
             if ext_low == ext_high:
                 return FAIL, f"apex pair of module {b:#x} shares its cross endpoint"
             if {module_address(ext_low, dim), module_address(ext_high, dim)} != {comp}:
@@ -201,7 +219,7 @@ def check_cross_edge_structure(dim: Dim) -> list[CheckResult]:
             targets: dict[int, list[int]] = {}
             for a in inner_values:
                 u = concat_halves(a, b, dim)
-                ext = external_neighbor(u, dim)
+                ext = cross(u)
                 tb = module_address(ext, dim)
                 if tb == b:
                     return FAIL, f"cross edge of {format_label(u, dim)} stays in its module"
@@ -223,7 +241,9 @@ def check_cross_edge_structure(dim: Dim) -> list[CheckResult]:
     def pair_edge_rule():
         for b in modules:
             comp = complement_address(b, dim)
-            others = modules if len(modules) <= 64 else [comp, (b + 1) & dim.module_mask]
+            # without repeats: b + 1 is the complement at b = 01..1 and 11..1
+            probes = dict.fromkeys((comp, (b + 1) & dim.module_mask))
+            others = modules if len(modules) <= 64 else probes
             for c in others:
                 if c == b:
                     continue
@@ -242,7 +262,7 @@ def check_cross_edge_structure(dim: Dim) -> list[CheckResult]:
     ]
 
 
-def check_no_common_neighbor(dim: Dim) -> CheckResult:
+def check_no_common_neighbor(dim: Dim, table=None) -> CheckResult:
     """The two apex vertices b.b and ~b.b of every module have disjoint
     neighbor sets (scanning all modules covers both orientations).
 
@@ -250,7 +270,7 @@ def check_no_common_neighbor(dim: Dim) -> CheckResult:
     halves are single bits: the check fails there and names the apexes
     0000 and 1100 sharing {0100, 1000}.  PAPER.md holds only the
     abstract, so it does not settle the width at which the paper states
-    the lemma.
+    the lemma.  A full ``table`` supplies the apex neighbor lists.
     """
     if dim.n < 4:
         raise ParameterError("apex neighbor disjointness needs n >= 4")
@@ -259,8 +279,8 @@ def check_no_common_neighbor(dim: Dim) -> CheckResult:
     def run():
         for b in modules:
             u, v = apex_pair(b, dim)
-            nu = set(neighbor_set(u, dim, FDSC))
-            nv = set(neighbor_set(v, dim, FDSC))
+            nu = set(table[u] if table is not None else neighbor_set(u, dim, FDSC))
+            nv = set(table[v] if table is not None else neighbor_set(v, dim, FDSC))
             common = nu & nv
             if common:
                 sample = ", ".join(format_label(w, dim) for w in sorted(common))
@@ -274,7 +294,7 @@ def check_no_common_neighbor(dim: Dim) -> CheckResult:
     return _timed("apex-no-common-neighbor", run)
 
 
-def module_decomposition_violation(dim: Dim) -> str | None:
+def module_decomposition_violation(dim: Dim, table=None) -> str | None:
     """Prove the module decomposition of FDSC_n (n >= 4) at label level.
 
     In every module: each vertex's interior edges are those of its inner
@@ -283,7 +303,8 @@ def module_decomposition_violation(dim: Dim) -> str | None:
     each vertex has exactly one cross edge; the cross edges reach every
     other module; and each lands on its partner: (x, b), with inner label x
     and module b, is joined to (b, x), or to (~b, ~b) when x = b.  Returns
-    the first violation, naming its module, or None.
+    the first violation, naming its module, or None.  A full positional
+    ``table`` (unsorted) supplies the neighbor lists when given.
     """
     half_dim = make_dim(dim.d - 1)
     half, mask, size = dim.half, dim.module_mask, 1 << dim.half
@@ -300,7 +321,7 @@ def module_decomposition_violation(dim: Dim) -> str | None:
             u = (x << half) | b
             interior = {}
             cross = []
-            for i, v in enumerate(neighbor_set(u, dim, FDSC)):
+            for i, v in enumerate(table[u] if table is not None else neighbor_set(u, dim, FDSC)):
                 if v & mask == b:
                     interior[v >> half] = i
                 else:
@@ -331,10 +352,26 @@ def module_decomposition_violation(dim: Dim) -> str | None:
     return None
 
 
-def check_graph_invariants(g: Graph) -> list[CheckResult]:
+def _module_decomposition_check(dim: Dim, table=None) -> CheckResult:
+    def run():
+        if dim.n < 4:
+            return SKIPPED, "no module structure below n = 4"
+        violation = module_decomposition_violation(dim, table)
+        if violation is not None:
+            return FAIL, violation
+        return PASS, (
+            f"all {1 << dim.half} modules are half-width copies "
+            f"(swap level k maps to k+1)"
+        )
+
+    return _timed("module-decomposition", run)
+
+
+def check_graph_invariants(g: Graph, module: CheckResult | None = None) -> list[CheckResult]:
     """Global facts of the built graph: (d+2)-regularity, exact vertex and
     edge counts, the module-decomposition edge bijection, girth 3, and the
-    complete module quotient."""
+    complete module quotient.  A given ``module`` result (``run_all`` proves
+    it on its positional table) is reported in place of running the proof."""
     if g.variant != FDSC:
         raise ParameterError("graph invariants are stated for the fdsc variant")
     dim = g.dim
@@ -350,17 +387,6 @@ def check_graph_invariants(g: Graph) -> list[CheckResult]:
         if g.edge_count != expected_e:
             return FAIL, f"edge count {g.edge_count}, expected {expected_e}"
         return PASS, f"|V|={expected_v}, |E|={expected_e}, ({dim.d + 2})-regular"
-
-    def module_decomposition():
-        if dim.n < 4:
-            return SKIPPED, "no module structure below n = 4"
-        violation = module_decomposition_violation(dim)
-        if violation is not None:
-            return FAIL, violation
-        return PASS, (
-            f"all {1 << dim.half} modules are half-width copies "
-            f"(swap level k maps to k+1)"
-        )
 
     def girth_three():
         result = girth(g)
@@ -390,7 +416,7 @@ def check_graph_invariants(g: Graph) -> list[CheckResult]:
 
     return [
         _timed("regularity-and-counts", regularity_counts),
-        _timed("module-decomposition", module_decomposition),
+        module if module is not None else _module_decomposition_check(dim),
         _timed("girth", girth_three),
         _timed("complete-quotient", quotient_complete),
     ]
@@ -482,19 +508,27 @@ def run_all(dim: Dim, graph: Graph | None = None) -> CheckReport:
     apex-disjointness check genuinely fails, so ``overall`` is false
     there; from n = 8 on every check that runs passes.
     """
+    if graph is not None and (graph.dim != dim or graph.variant != FDSC):
+        raise ParameterError("provided graph does not match the requested dimension")
     report = CheckReport(dim=dim)
-    report.checks.extend(check_label_invariants(dim))
+    table = _neighbor_table(dim)
+    full = table if dim.n <= MAX_BUILD_BITS else None
+    report.checks.extend(check_label_invariants(dim, table))
     if dim.n >= 4:
-        report.checks.extend(check_cross_edge_structure(dim))
-        report.checks.append(check_no_common_neighbor(dim))
-    if dim.n <= MAX_BUILD_BITS:
-        g = graph if graph is not None else build_graph(dim, FDSC)
-        if g.dim != dim or g.variant != FDSC:
-            raise ParameterError("provided graph does not match the requested dimension")
-        report.checks.extend(check_graph_invariants(g))
+        report.checks.extend(check_cross_edge_structure(dim, full))
+        report.checks.append(check_no_common_neighbor(dim, full))
+    if full is not None:
+        # the last positional reader; sorted rows are what build_graph makes
+        module = _module_decomposition_check(dim, full)
+        if graph is None:
+            for row in full:
+                row.sort()
+            graph = Graph(dim=dim, variant=FDSC, adj=full)
+        report.checks.extend(check_graph_invariants(graph, module))
         if dim.d >= 2:
-            report.checks.extend(check_neighborhood_structure(g))
+            report.checks.extend(check_neighborhood_structure(graph))
     else:
+        capped = f"materialization is capped at n <= {MAX_BUILD_BITS}"
         for name in (
             "regularity-and-counts",
             "module-decomposition",
@@ -503,11 +537,5 @@ def run_all(dim: Dim, graph: Graph | None = None) -> CheckReport:
             "neighbor-common-bound",
             "neighbor-triangle-independent-rest",
         ):
-            report.checks.append(
-                CheckResult(
-                    name=name,
-                    status=SKIPPED,
-                    detail=f"materialization is capped at n <= {MAX_BUILD_BITS}",
-                )
-            )
+            report.checks.append(CheckResult(name=name, status=SKIPPED, detail=capped))
     return report

@@ -2,7 +2,8 @@
 oracle, the verification suite, and external family checking.
 
 Exit codes: 0 success / all checks pass, 1 a property or expected-value
-violation was found, 2 usage error, 3 resource cap exceeded.  Every JSON
+violation was found, 2 usage error, 3 resource cap exceeded, 130
+interrupted (Ctrl-C; no report is written).  Every JSON
 report embeds the tool version and the fully resolved configuration, and
 is deterministic given the flags except for elapsed fields.
 """
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERRUPTED = 130
 
 
 def _emit_bytes(data: bytes, out: str | None) -> None:
@@ -260,6 +262,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdsc.graph
 from fdsc import checks, exact_structure_connectivity, make_dim, parse_label, run_all
 from fdsc.checks import (
     FAIL,
@@ -17,6 +18,7 @@ from fdsc.checks import (
     check_no_common_neighbor,
 )
 from fdsc.cuts import STRUCTURE
+from fdsc.errors import ParameterError
 from fdsc.graph import Graph
 from fdsc.labels import (
     e1_neighbor,
@@ -29,6 +31,21 @@ from fdsc.labels import (
 from fdsc.modcheck import ModularChecker
 
 D2, D3 = make_dim(2), make_dim(3)
+
+CHECK_ORDER = (
+    "label-involutions",
+    "label-degree-symmetry",
+    "label-top-swap-identity",
+    "cross-edge-targets",
+    "cross-edge-pair-rule",
+    "apex-no-common-neighbor",
+    "regularity-and-counts",
+    "module-decomposition",
+    "girth",
+    "complete-quotient",
+    "neighbor-common-bound",
+    "neighbor-triangle-independent-rest",
+)
 
 
 def by_name(checks):
@@ -212,6 +229,8 @@ class TestModuleDecompositionProof:
         results = by_name(run_all(D3).checks)
         assert results["module-decomposition"].status == FAIL
         assert results["label-degree-symmetry"].status == FAIL
+        # the faulty table also became the graph; the report is still whole
+        assert list(results) == list(CHECK_ORDER)
 
 
 class TestNeighborhoodStructure:
@@ -366,3 +385,40 @@ class TestRunAll:
     def test_reuses_provided_graph(self, fdsc8):
         report = run_all(D3, graph=fdsc8)
         assert report.overall
+
+    def test_mismatched_graph_fails_before_any_check(self, monkeypatch, fdsc4):
+        calls = TestDegreeSymmetryCalls._counting(monkeypatch)
+        with pytest.raises(ParameterError, match="does not match"):
+            run_all(D3, graph=fdsc4)
+        assert calls == []
+
+
+class TestOneNeighborTable:
+    """run_all computes each label's neighbor list once and sorts the same
+    lists into the graph its graph checks run on."""
+
+    def test_one_neighbor_list_per_label_at_d4(self, monkeypatch):
+        calls = TestDegreeSymmetryCalls._counting(monkeypatch)
+        monkeypatch.setattr(fdsc.graph, "neighbor_set", checks.neighbor_set)
+        assert run_all(make_dim(4)).overall
+        # one list per label, plus the half-width copies and the pair rule's probes
+        assert len(calls) <= 2**16 + 2**10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_graph_from_the_table_is_build_graph(self, d, monkeypatch, fdsc4, fdsc8, fdsc16):
+        seen = []
+        real = checks.check_graph_invariants
+
+        def spy(g, *args):
+            seen.append(g)
+            return real(g, *args)
+
+        monkeypatch.setattr(checks, "check_graph_invariants", spy)
+        run_all(make_dim(d))
+        (g,) = seen
+        assert g.adj == {2: fdsc4, 3: fdsc8, 4: fdsc16}[d].adj
+
+    def test_module_proof_keeps_its_own_time(self):
+        report = run_all(make_dim(4))
+        assert [c.name for c in report.checks] == list(CHECK_ORDER)
+        assert by_name(report.checks)["module-decomposition"].elapsed_ms > 0

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from fdsc import cli
 from fdsc.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -270,6 +271,16 @@ class TestVerify:
 
 
 class TestUsage:
+    def test_interrupt_exits_130_without_traceback(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_lemmas", interrupted)
+        code, out, err = run_cli(capsys, "lemmas", "--d", "3")
+        assert code == 130
+        assert out == ""
+        assert err == "error: interrupted\n"
+
     def test_unknown_pattern(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cut", "--d", "2", "--pattern", "k12"])
