@@ -15,12 +15,15 @@ For a removal S touching at most a few modules:
   by search inside a 2^(n/2)-vertex template and memoized by removed mask;
 * the cross edge of (x, b), with inner label x and module b, lands on its
   partner (b, x), or on (~b, ~b) when x = b.  So a component of module b,
-  held as a mask M of inner labels, has its partners in the modules of M
-  other than b, plus ~b when M holds b.  With T the mask of touched
-  modules, M reaches the core if M & ~T is non-empty or M holds b and ~b
-  is intact.  When every component does, the graph is connected;
+  held as a mask M of inner labels, has its partners in the modules of its
+  *reach mask* R = (M & ~(1 << b)) | (bit b of M) << ~b (``reach``).  With
+  T the mask of touched modules, the component reaches the core iff
+  R & ~T is non-empty.  When fewer than all modules are touched and every
+  reach mask of every touched module meets ~T, the graph is connected;
   otherwise the checker abstains.  It never answers "disconnected", so
-  every disconnecting set is found by the plain census.
+  every disconnecting set is found by the plain census.  The oracle's
+  sweep applies the same rule to whole sets of candidates at once, through
+  ``reach``, so the two cannot drift apart.
 
 The facts this argument leans on are not assumed: the constructor proves
 them for the exact dimension in use and raises if any fails.  The module
@@ -151,26 +154,40 @@ class ModularChecker:
         self._comp_cache[removed_mask] = comps
         return comps
 
+    def reach(self, b: int, removed_mask: int) -> tuple[int, ...]:
+        """One reach mask per component of module b minus ``removed_mask``:
+        the modules that the component's cross edges land in.  Inner label x
+        of module b has its partner in module x, except x = b, whose partner
+        (~b, ~b) lies in module ~b; so a component mask M reaches
+        (M & ~(1 << b)) | (bit b of M) << ~b.  Derived from the component
+        cache on each call, so it is bounded as that cache is."""
+        comps = self._comp_cache.get(removed_mask)
+        if comps is None:
+            comps = self._components(removed_mask)
+        bit = 1 << b
+        for comp in comps:
+            if comp & bit:  # at most one component holds b
+                k = comps.index(comp)
+                return comps[:k] + (comp ^ bit | 1 << (b ^ self.module_mask),) + comps[k + 1 :]
+        return comps
+
     def connected(self, touched: dict[int, int]) -> bool | None:
         """True or None, never False: True proves the graph minus the
         removed set connected, given as its ``footprint`` ``touched``
         (module -> mask of removed inner labels); None sends the caller to
-        the census.
+        the census.  With T the mask of touched modules, the proof holds
+        iff fewer than all modules are touched and every reach mask of
+        every touched module meets ~T.
         """
         if len(touched) >= self.module_count:
             return None
-        mask, cache = self.module_mask, self._comp_cache
         tmask = 0
         for b in touched:
             tmask |= 1 << b
-        outside = ~tmask
+        outside, reach = ~tmask, self.reach
         for b, removed_mask in touched.items():
-            comps = cache.get(removed_mask)
-            if comps is None:
-                comps = self._components(removed_mask)
-            apex_out = not (tmask >> (b ^ mask)) & 1
-            for comp in comps:
-                if not (comp & outside or (apex_out and (comp >> b) & 1)):
+            for r in reach(b, removed_mask):
+                if not r & outside:
                     return None
         return True
 

@@ -37,6 +37,20 @@ the footprints of each (t-1)-prefix once, reads a subset's union size as
 the popcount sum of the merged masks, and hands the merged footprint to
 the checker; the label list is built only for the census.
 
+Most extensions of a prefix touch no module the prefix touches, and for
+those the checker's rule (``ModularChecker.connected``: fewer than all
+modules touched, and every component's reach mask meets an untouched
+module) reads only facts about the prefix and about the extension alone.
+So the sweep settles them in bulk, with bit operations on candidate-index
+bitsets (``_Extensions``): an extension is pruned when the two union sizes
+add up to less than the bound, and proven when neither a reach mask of the
+prefix nor one of the extension can fail.  Only the rest (overlapping
+extensions, those a prefix mask could fail on, and those with a weak reach
+of their own) go to the checker, one merged footprint at a time, and then
+to the census.  Every skipped subset is one that ``connected`` proves, so
+the first census hit, the certificate and the counts are those of asking
+the checker about every subset.
+
 Faults have one vocabulary, the ``FaultFamily``: a vertex is a 0-leaf
 star and an edge a 1-leaf star, so a mix of vertex and edge removals is a
 K_{1,1}-substructure family.  The exhaustive mixed removal check is
@@ -172,6 +186,95 @@ def _footprints(candidates: list[Star], dim: Dim) -> list[tuple[tuple[int, int],
     ]
 
 
+def _bits_below(values: bytes, bound: int) -> int:
+    """Bitset of the positions k with ``values[k] < bound`` (bit k for
+    position k)."""
+    if not values:
+        return 0
+    table = bytes(0x31 if v < bound else 0x30 for v in range(256))
+    return int(values.translate(table)[::-1], 2)
+
+
+def _members(bits: int):
+    """The positions of the set bits of ``bits``, ascending."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+class _Extensions:
+    """Candidate-index bitsets (bit k for candidate k) that settle a
+    prefix's module-disjoint extensions in bulk, built once per ``_sweep``
+    call from the footprints and the checker's ``reach``.
+
+    For candidate i with module set T_i: ``smaller[s]`` holds the
+    candidates with fewer than s vertices, ``weak[w]`` those whose weakest
+    reach min |R & ~T_i|, over the reach masks R of their own components,
+    is at most w, and ``touches[b]`` those that touch module b.  A
+    candidate with no component left counts as weakest reach 0.  A
+    prefix's module set T_P has at most (t - 1) * max|T_i| modules, so no
+    ``weak`` table past that is built, and ``touches`` only from t = 2 on.
+    """
+
+    def __init__(self, footprints: list, sizes: bytes, t: int, checker):
+        count = len(footprints)
+        self.reach = reach = checker.reach
+        self.full = (1 << count) - 1
+        self.widest = max(map(len, footprints), default=0)
+        weak_cap = (t - 1) * self.widest
+        rows = [bytearray((count + 7) >> 3) for _ in range(checker.module_count)] if t > 1 else []
+        weakest = bytearray()  # capped at weak_cap + 1, which no table reads
+        for k, fp in enumerate(footprints):
+            outside = -1
+            for b, _ in fp:
+                outside ^= 1 << b
+            w, left = weak_cap + 1, False
+            for b, inner in fp:
+                for r in reach(b, inner):
+                    left = True
+                    c = (r & outside).bit_count()
+                    if c < w:
+                        w = c
+            weakest.append(w if left else 0)
+            if rows:
+                for b, _ in fp:
+                    rows[b][k >> 3] |= 1 << (k & 7)
+        self.smaller = [_bits_below(sizes, s) for s in range(max(sizes, default=0) + 2)]
+        self.weak = [_bits_below(weakest, w + 1) for w in range(weak_cap + 1)]
+        self.touches = [int.from_bytes(row, "little") for row in rows]
+
+    def split(self, merged: dict[int, int], size: int, start: int, kappa: int):
+        """(pruned, slow): the bitsets of the candidates in [start, count)
+        that extend the prefix with merged footprint ``merged`` and union
+        size ``size`` into a subset the union prune skips, and into one the
+        bulk proof cannot settle.  Every other candidate in the range gives
+        a subset that ``ModularChecker.connected`` proves connected."""
+        window = self.full >> start << start
+        tmask = overlap = 0
+        for b in merged:
+            tmask |= 1 << b
+            overlap |= self.touches[b]
+        # disjoint modules mean disjoint vertices: the union size is a sum
+        short = min(max(kappa - size, 0), len(self.smaller) - 1)
+        pruned = window & ~overlap & self.smaller[short]
+        # |T_P| + |T_i| >= M needs no test of its own: R & ~T_i then lies in
+        # the M - |T_i| <= |T_P| modules outside T_i, so i is weak
+        slow = overlap | self.weak[len(merged)]
+        # a prefix reach mask R' = R & ~T_P fails on exactly the candidates
+        # that touch every module of R', which needs |R'| <= max|T_i|
+        for b, removed in merged.items():
+            for r in self.reach(b, removed):
+                r &= ~tmask
+                if r.bit_count() <= self.widest:
+                    fails = self.full
+                    for x in _members(r):
+                        fails &= self.touches[x]
+                    slow |= fails
+        return pruned, slow & window & ~pruned
+
+
 def _sweep(
     candidates: list[Star], footprints: list, t: int, kappa: int, survivors: SurvivorCheck
 ):
@@ -184,15 +287,37 @@ def _sweep(
     union size is the popcount sum of the merged masks.  A union smaller
     than ``kappa``, a lower bound on vertex connectivity, is pruned; when t
     elements of the largest size cannot reach ``kappa``, the whole level is
-    pruned without a visit.  The checker sees the merged footprint; only
-    when it abstains are the labels listed for the census.
+    pruned without a visit.
+
+    With a checker, the extensions i of each (t-1)-prefix P are split in
+    bulk (``_Extensions.split``).  When the module sets T_i and T_P are
+    disjoint, so are the vertex sets, and the merged footprint is P's plus
+    i's: the union size is the sum of the two sizes, and ``connected``
+    proves the subset iff |T_P| + |T_i| < M and every reach mask R, of P's
+    components and of i's, meets ~(T_P | T_i).  For R of P that fails
+    exactly when i touches every module of R & ~T_P; for R of i it fails
+    only if i is *weak*, |R & ~T_i| <= |T_P|.  Every i with
+    |T_P| + |T_i| >= M is weak (R & ~T_i then lies in the M - |T_i| <=
+    |T_P| modules outside T_i), or keeps no component and is counted weak.
+    So each disjoint extension is pruned or proven by bit operations on
+    whole candidate sets, unless a prefix mask fails on it or it is weak;
+    those and every overlapping extension are slow, and the slow ones go,
+    in ascending order, through the per-subset route: union recount, the
+    checker with the merged footprint, then the census with the label list.
+    No disconnecting subset is skipped, because every skipped subset is one
+    that ``connected`` proves, and the first census hit is the same.  The
+    counts stay exact: a hit at i has examined i - start + 1 extensions of
+    its prefix, and pruned the slow prunes plus the bulk prunes below i.
+    Without a checker every extension is slow.
     """
     count = len(footprints)
-    largest = max((sum(inner.bit_count() for _, inner in fp) for fp in footprints), default=0)
-    if t * largest < kappa:
+    sizes = bytes(sum(inner.bit_count() for _, inner in fp) for fp in footprints)
+    if t * max(sizes, default=0) < kappa:
         total = math.comb(count, t)
         return None, total, total
-    proves = survivors.checker.connected if survivors.checker is not None else None
+    checker = survivors.checker
+    proves = checker.connected if checker is not None else None
+    extensions = _Extensions(footprints, sizes, t, checker) if checker is not None else None
     examined = pruned = 0
     for prefix in itertools.combinations(range(count), t - 1):
         merged: dict[int, int] = {}
@@ -200,13 +325,19 @@ def _sweep(
             for b, inner in footprints[k]:
                 merged[b] = merged.get(b, 0) | inner
         size = sum(inner.bit_count() for inner in merged.values())
-        for i in range(prefix[-1] + 1 if prefix else 0, count):
-            examined += 1
+        start = prefix[-1] + 1 if prefix else 0
+        if extensions is None:
+            bulk_pruned, slow = 0, range(start, count)
+        else:
+            bulk_pruned, bits = extensions.split(merged, size, start, kappa)
+            slow = _members(bits)
+        slow_pruned = 0
+        for i in slow:
             union = size
             for b, inner in footprints[i]:
                 union += (inner & ~merged.get(b, 0)).bit_count()
             if union < kappa:
-                pruned += 1
+                slow_pruned += 1
                 continue
             if proves is not None:
                 touched = merged.copy()
@@ -217,7 +348,10 @@ def _sweep(
             combo = (*prefix, i)
             removed = [v for k in combo for v in candidates[k].vertices]
             if components_after_removal(survivors.g, removed).disconnected:
-                return combo, examined, pruned
+                below = bulk_pruned & ((1 << i) - 1)
+                return combo, examined + i - start + 1, pruned + slow_pruned + below.bit_count()
+        examined += count - start
+        pruned += slow_pruned + bulk_pruned.bit_count()
     return None, examined, pruned
 
 

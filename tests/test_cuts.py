@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsc import (
     FDSC,
@@ -242,6 +244,23 @@ class TestJson:
         assert back.mode == fam.mode
         assert back.pattern_m == fam.pattern_m
         assert [el.vertices for el in back.elements] == [el.vertices for el in fam.elements]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_round_trip_random_families(self, data):
+        # valid structure and substructure families at d = 2, 3 read back
+        # as the same family: element order, centers, leaves, m and mode
+        dim = data.draw(st.sampled_from((D2, D3)))
+        mode = data.draw(st.sampled_from((STRUCTURE, SUBSTRUCTURE)))
+        m = data.draw(st.integers(0, dim.d + 2))  # up to the degree
+        elements = []
+        for center in data.draw(st.lists(st.integers(0, (1 << dim.n) - 1), max_size=5)):
+            nbrs = neighbor_set(center, dim)
+            k = m if mode == STRUCTURE else data.draw(st.integers(0, m))
+            elements.append(star(center, data.draw(st.permutations(nbrs))[:k]))
+        fam = FaultFamily(elements, pattern_m=m, mode=mode)
+        assert validate_family(fam, dim) == (True, None)
+        assert family_from_json(family_to_json(fam, dim), dim) == fam
 
     def test_shape(self):
         obj = family_to_json(k1_cut(0, D1), D1)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsc import (
     DSC,
@@ -210,3 +212,13 @@ class TestCodec:
         for _ in range(200):
             u = rng.randrange(1 << 64)
             assert parse_label(format_label(u, dim), dim) == u
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_round_trip_every_width(self, data):
+        # d = 1..6, labels over the full n = 2^d bits, both ends included
+        dim = make_dim(data.draw(st.integers(1, 6)))
+        u = data.draw(st.integers(0, (1 << dim.n) - 1))
+        text = format_label(u, dim)
+        assert len(text) == dim.n
+        assert parse_label(text, dim) == u

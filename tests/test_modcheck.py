@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsc import ParameterError, components_after_removal, make_dim, vertex_connectivity
+from fdsc import ParameterError, components_after_removal, make_dim, modcheck, vertex_connectivity
 from fdsc.labels import DSC, FDSC, external_neighbor, neighbor_set
 from fdsc.modcheck import (
     ModularChecker,
@@ -224,6 +224,32 @@ class TestAgainstPlainSearch:
 
     def test_empty_removal(self, checker8):
         assert checker8.connected({}) is True
+
+    def test_reach_moves_the_apex_bit(self, checker8):
+        # module b = 0x3 keeps inner labels b and 5, which are not adjacent:
+        # the component {b} reaches module ~b = 0xc through the apex edge,
+        # and the component {5} reaches module 5 only
+        b, everything = 0x3, (1 << 16) - 1
+        assert 5 not in checker8.template.adj[b]
+        assert checker8.reach(b, everything ^ (1 << b) ^ (1 << 5)) == (1 << 0xC, 1 << 5)
+        # intact, the module is one component, which loses bit b and gains
+        # bit ~b (held already)
+        assert checker8.reach(b, 0) == (everything ^ (1 << b),)
+
+
+def test_capped_cache_gives_the_same_answers(checker8, monkeypatch):
+    # with the component cache cleared every few entries, reach masks and
+    # verdicts are those of the shared checker, whose cache never fills at
+    # n = 8
+    rng = random.Random(8)
+    queries = [footprint(rng.sample(range(256), rng.randint(0, 12)), D3) for _ in range(300)]
+    expected = [checker8.connected(q) for q in queries]
+    monkeypatch.setattr(modcheck, "_CACHE_SOFT_CAP", 3)
+    capped = ModularChecker(D3)
+    assert [capped.connected(q) for q in queries] == expected
+    assert len(capped._comp_cache) <= 4
+    pairs = [pair for q in queries for pair in q.items()]
+    assert [capped.reach(*pair) for pair in pairs] == [checker8.reach(*pair) for pair in pairs]
 
 
 @pytest.mark.parametrize("name", ["fdsc4", "fdsc8", "dsc8"])

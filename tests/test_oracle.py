@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdsc import (
     FDSC,
@@ -17,9 +19,9 @@ from fdsc import (
     super_cut_probe,
     validate_family,
 )
-from fdsc.cuts import STRUCTURE, SUBSTRUCTURE
+from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, star
 from fdsc.graph import components_after_removal
-from fdsc.oracle import _footprints, _sweep
+from fdsc.oracle import _Extensions, _footprints, _members, _sweep
 
 D2, D3 = make_dim(2), make_dim(3)
 
@@ -183,6 +185,46 @@ class TestSweep:
         assert fast == plain == (None, math.comb(60, 3), small)
         assert 0 < small < math.comb(60, 3)
 
+    def test_bulk_matches_plain_route(self, fdsc8):
+        # strided slices of at most 40 candidates, every pattern order and
+        # mode, t = 1..3, from all candidates or from those centered on one
+        # closed neighborhood (where cuts are found): the bulk split with the
+        # checker and the census-only route give the same hit, examined and
+        # pruned
+        fast = modcheck.SurvivorCheck(fdsc8)
+        plain = modcheck.SurvivorCheck(fdsc8, use_modular=False)
+        pools, hits = {}, []
+
+        @settings(max_examples=100, derandomize=True, deadline=None)
+        @given(
+            m=st.integers(0, 5),
+            mode=st.sampled_from((STRUCTURE, SUBSTRUCTURE)),
+            t=st.integers(1, 3),
+            around=st.none() | st.integers(0, 255),
+            first=st.integers(0, 6847),
+            step=st.integers(1, 300),
+            length=st.integers(0, 40),
+        )
+        # cuts found after bulk prunes, in both modes
+        @example(m=2, mode=STRUCTURE, t=3, around=149, first=5000, step=3, length=14)
+        @example(m=2, mode=SUBSTRUCTURE, t=3, around=212, first=3039, step=5, length=30)
+        @example(m=4, mode=STRUCTURE, t=3, around=110, first=1505, step=1, length=40)
+        def agrees(m, mode, t, around, first, step, length):
+            if (m, mode) not in pools:
+                pools[m, mode] = enumerate_candidates(fdsc8, m, mode)
+            pool = pools[m, mode]
+            if around is not None:
+                ball = {around, *fdsc8.adj[around]}
+                pool = [c for c in pool if c.center in ball]
+            cands = pool[first % len(pool) :: step][:length]
+            footprints = _footprints(cands, D3)
+            result = _sweep(cands, footprints, t, 5, fast)
+            assert result == _sweep(cands, footprints, t, 5, plain)
+            hits.append(result[0] is not None)
+
+        agrees()
+        assert any(hits)
+
     def test_wholly_pruned_levels_are_counted(self, fdsc8):
         # vertices and edges have at most 2 vertices, so t <= 2 of them
         # never reach kappa = 5: both levels are pruned without a visit
@@ -216,6 +258,128 @@ class TestSweep:
         assert (
             result.value, result.candidates, result.examined, result.pruned, certificate
         ) == expected
+
+
+def _slow_reasons(checker, footprints, prefix, i):
+    """Why the bulk split must leave extension i of ``prefix`` to the
+    per-subset route, worked out per candidate with sets: an empty set means
+    ``connected`` proves the subset."""
+    merged = {}
+    for k in prefix:
+        for b, inner in footprints[k]:
+            merged[b] = merged.get(b, 0) | inner
+    prefix_modules = sum(1 << b for b in merged)
+    own_modules = sum(1 << b for b, _ in footprints[i])
+    if prefix_modules & own_modules:
+        return {"shared module"}
+    reasons = set()
+    if len(merged) + len(footprints[i]) >= checker.module_count:
+        reasons.add("wide")
+    for b, inner in footprints[i]:
+        if any((r & ~own_modules).bit_count() <= len(merged) for r in checker.reach(b, inner)):
+            reasons.add("weak")
+    for b, removed in merged.items():
+        for r in checker.reach(b, removed):
+            left = r & ~prefix_modules
+            if not left:
+                reasons.add("no reach left")
+            elif not left & ~own_modules:
+                reasons.add("covered")
+    return reasons
+
+
+class TestBulkSplit:
+    """Each reason that sends a disjoint extension to the per-subset route,
+    on hand-picked FDSC_8 families (label (x << 4) | b is inner label x of
+    module b).  Removing inner labels 0, 3, 7 and 11 of module 0 isolates
+    its inner label 15, whose cross edge leads to (0, 15), label 15, in
+    module 15; so with label 15 removed too, label 240 is cut off."""
+
+    KAPPA = 5
+
+    def split_agrees(self, fdsc8, cands, t):
+        """Compare the split with ``_slow_reasons`` for every prefix and
+        extension, compare the sweep with the census-only route, and return
+        the reasons met, by (prefix, extension)."""
+        survivors = modcheck.SurvivorCheck(fdsc8)
+        checker = survivors.checker
+        footprints = _footprints(cands, D3)
+        sizes = bytes(len(c.vertices) for c in cands)
+        extensions = _Extensions(footprints, sizes, t, checker)
+        met = {}
+        for prefix in itertools.combinations(range(len(cands)), t - 1):
+            merged = {}
+            for k in prefix:
+                for b, inner in footprints[k]:
+                    merged[b] = merged.get(b, 0) | inner
+            size = sum(inner.bit_count() for inner in merged.values())
+            start = prefix[-1] + 1 if prefix else 0
+            pruned, slow = extensions.split(merged, size, start, self.KAPPA)
+            for i in range(start, len(cands)):
+                reasons = _slow_reasons(checker, footprints, prefix, i)
+                small = (
+                    "shared module" not in reasons and size + len(cands[i].vertices) < self.KAPPA
+                )
+                assert (pruned >> i & 1, slow >> i & 1) == (small, bool(reasons) and not small)
+                met[prefix, i] = reasons
+        plain = modcheck.SurvivorCheck(fdsc8, use_modular=False)
+        hit = _sweep(cands, footprints, t, self.KAPPA, survivors)
+        assert hit == _sweep(cands, footprints, t, self.KAPPA, plain)
+        return met, hit
+
+    def test_shared_module(self, fdsc8):
+        met, hit = self.split_agrees(fdsc8, [star(0x10, [0x50]), star(0x20, [0x60, 0x70])], 2)
+        assert met[(0,), 1] == {"shared module"}
+        assert hit == (None, 1, 0)
+
+    def test_prefix_component_with_no_reach_left(self, fdsc8):
+        # the prefix isolates inner label 15 of module 0 and touches module
+        # 15 itself: the component has no reach outside the prefix, so no
+        # disjoint extension is proven; label 15 completes the cut
+        cands = [star(0, [255]), star(48, [112, 176]), star(0x21), star(0x52, [0x12]), star(15)]
+        met, hit = self.split_agrees(fdsc8, cands, 3)
+        assert met[(0, 1), 2] == met[(0, 1), 3] == {"no reach left"}
+        assert met[(0, 1), 4] == {"shared module"}
+        assert hit[0] == (0, 1, 4)
+
+    def test_prefix_mask_covered_by_one_candidate(self, fdsc8):
+        # the same isolated inner label 15, whose reach, module 15, is
+        # outside the prefix: it fails only for the extensions in module 15
+        cands = [star(0, [64]), star(48, [112, 176]), star(0x21), star(0x1F), star(15)]
+        met, hit = self.split_agrees(fdsc8, cands, 3)
+        assert met[(0, 1), 2] == set()
+        assert met[(0, 1), 3] == met[(0, 1), 4] == {"covered"}
+        assert hit[0] == (0, 1, 4)
+
+    def test_weak_candidate(self, fdsc8):
+        # no star of FDSC_8 cuts its own module, so the weak extension is a
+        # vertex set written as a star (the sweep reads only its vertices):
+        # it isolates inner label 15 of module 0, a component that reaches
+        # module 15 only, so |R & ~T_i| = 1 is at most |T_P| for any prefix.
+        # The last extension is pruned in bulk, after the hit: it is not
+        # counted
+        cut_off = star(0, [48, 112, 176])
+        met, hit = self.split_agrees(fdsc8, [star(0x15), star(15), cut_off, star(0x26)], 2)
+        assert met[(0,), 2] == met[(1,), 2] == {"weak"}
+        assert hit[0] == (1, 2)
+
+    def test_all_modules_touched(self, fdsc8):
+        # a prefix on modules 1..15 and an extension in module 0 touch every
+        # module, so the checker abstains.  Then the extension is weak, or a
+        # prefix mask fails on it, whenever either keeps a component; here
+        # the prefix removes all of modules 1..15, and the extension that
+        # removes all of module 0 keeps no component and counts as weak
+        rest = star(1, [v for v in range(2, 256) if v & 15])
+        whole_module = star(0, range(16, 256, 16))
+        met, hit = self.split_agrees(fdsc8, [rest, whole_module, star(0x20)], 2)
+        assert met[(0,), 1] == {"wide"}
+        assert met[(0,), 2] == {"wide", "weak"}
+        # nothing survives the first pair, which the census counts as cut
+        assert hit == ((0, 1), 1, 0)
+
+    def test_members(self):
+        assert list(_members(0)) == []
+        assert list(_members(0b1011 << 70)) == [70, 71, 73]
 
 
 @pytest.mark.parametrize("mode", [STRUCTURE, SUBSTRUCTURE])
