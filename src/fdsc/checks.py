@@ -500,7 +500,7 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
     ]
 
 
-def run_all(dim: Dim, graph: Graph | None = None) -> CheckReport:
+def run_all(dim: Dim) -> CheckReport:
     """Run every check for one dimension.
 
     Graph-backed checks are skipped (never passed) above the
@@ -508,8 +508,6 @@ def run_all(dim: Dim, graph: Graph | None = None) -> CheckReport:
     apex-disjointness check genuinely fails, so ``overall`` is false
     there; from n = 8 on every check that runs passes.
     """
-    if graph is not None and (graph.dim != dim or graph.variant != FDSC):
-        raise ParameterError("provided graph does not match the requested dimension")
     report = CheckReport(dim=dim)
     table = _neighbor_table(dim)
     full = table if dim.n <= MAX_BUILD_BITS else None
@@ -520,10 +518,9 @@ def run_all(dim: Dim, graph: Graph | None = None) -> CheckReport:
     if full is not None:
         # the last positional reader; sorted rows are what build_graph makes
         module = _module_decomposition_check(dim, full)
-        if graph is None:
-            for row in full:
-                row.sort()
-            graph = Graph(dim=dim, variant=FDSC, adj=full)
+        for row in full:
+            row.sort()
+        graph = Graph(dim=dim, variant=FDSC, adj=full)
         report.checks.extend(check_graph_invariants(graph, module))
         if dim.d >= 2:
             report.checks.extend(check_neighborhood_structure(graph))

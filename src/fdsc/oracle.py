@@ -29,20 +29,20 @@ the result so a reviewer can audit the exhaustiveness argument:
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
 
-``_sweep`` is the one sweep engine, a stateless function of the
-candidates, their footprints, the family size and a kappa bound.  A
-candidate's footprint (``modcheck.footprint``) is its vertex set split
-once per call into (module, mask of inner labels) pairs.  The sweep merges
-the footprints of each (t-1)-prefix once, reads a subset's union size as
-the popcount sum of the merged masks, and hands the merged footprint to
-the checker; the label list is built only for the census.
+The sweep engine is a ``_SweepTable``, built once per call, and ``_sweep``,
+a stateless function of the table, the family size and a kappa bound.  The
+table holds each candidate's footprint (``modcheck.footprint``: its vertex
+set split into (module, inner mask) pairs), size and bulk bitsets.  The
+sweep merges the footprints of each (t-1)-prefix once, reads a subset's
+union size as the popcount sum of the merged masks, and hands the merged
+footprint to the checker; the label list is built only for the census.
 
 Most extensions of a prefix touch no module the prefix touches, and for
 those the checker's rule (``ModularChecker.connected``: fewer than all
 modules touched, and every component's reach mask meets an untouched
 module) reads only facts about the prefix and about the extension alone.
 So the sweep settles them in bulk, with bit operations on candidate-index
-bitsets (``_Extensions``): an extension is pruned when the two union sizes
+bitsets (``_SweepTable``): an extension is pruned when the two union sizes
 add up to less than the bound, and proven when neither a reach mask of the
 prefix nor one of the extension can fail.  Only the rest (overlapping
 extensions, those a prefix mask could fail on, and those with a weak reach
@@ -175,17 +175,6 @@ class OracleResult:
         }
 
 
-def _footprints(candidates: list[Star], dim: Dim) -> list[tuple[tuple[int, int], ...]]:
-    """Each candidate's ``modcheck.footprint`` as a tuple of (module, inner
-    mask) pairs.  Equal pairs are stored once: the 6,848 K_{1,5}-substructure
-    stars of FDSC_8 hold 10,816 pairs, of which 2,880 are distinct."""
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
-    return [
-        tuple(shared.setdefault(pair, pair) for pair in footprint(c.vertices, dim).items())
-        for c in candidates
-    ]
-
-
 def _bits_below(values: bytes, bound: int) -> int:
     """Bitset of the positions k with ``values[k] < bound`` (bit k for
     position k)."""
@@ -204,43 +193,53 @@ def _members(bits: int):
         i = digits.find("1", i + 1)
 
 
-class _Extensions:
-    """Candidate-index bitsets (bit k for candidate k) that settle a
-    prefix's module-disjoint extensions in bulk, built once per ``_sweep``
-    call from the footprints and the checker's ``reach``.
+class _SweepTable:
+    """What ``_sweep`` reads about the candidate ``stars``, derived once per
+    ``exact_structure_connectivity`` call for every family size up to
+    ``budget``: each star's ``modcheck.footprint`` as a tuple of (module,
+    inner mask) pairs, equal pairs stored once (the 6,848
+    K_{1,5}-substructure stars of FDSC_8 hold 10,816 pairs, of which 2,880
+    are distinct), its size, and, with a ``checker``, candidate-index
+    bitsets (bit k for candidate k) that settle a prefix's module-disjoint
+    extensions in bulk.
 
     For candidate i with module set T_i: ``smaller[s]`` holds the
     candidates with fewer than s vertices, ``weak[w]`` those whose weakest
     reach min |R & ~T_i|, over the reach masks R of their own components,
     is at most w, and ``touches[b]`` those that touch module b.  A
     candidate with no component left counts as weakest reach 0.  A
-    prefix's module set T_P has at most (t - 1) * max|T_i| modules, so no
-    ``weak`` table past that is built, and ``touches`` only from t = 2 on.
+    prefix's module set T_P has at most (budget - 1) * max|T_i| modules, so
+    no ``weak`` table past that is built, and ``touches`` only when
+    budget > 1.
     """
 
-    def __init__(self, footprints: list, sizes: bytes, t: int, checker):
+    def __init__(self, stars: list[Star], g: Graph, checker, budget: int):
+        self.stars, self.g, self.checker = stars, g, checker
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        self.footprints = footprints = [
+            tuple(shared.setdefault(pair, pair) for pair in footprint(c.vertices, g.dim).items())
+            for c in stars
+        ]
+        self.sizes = sizes = bytes(sum(inner.bit_count() for _, inner in fp) for fp in footprints)
+        if checker is None:
+            return
         count = len(footprints)
         self.reach = reach = checker.reach
         self.full = (1 << count) - 1
         self.widest = max(map(len, footprints), default=0)
-        weak_cap = (t - 1) * self.widest
-        rows = [bytearray((count + 7) >> 3) for _ in range(checker.module_count)] if t > 1 else []
+        weak_cap = (budget - 1) * self.widest
+        rows = (
+            [bytearray((count + 7) >> 3) for _ in range(checker.module_count)] if budget > 1 else []
+        )
         weakest = bytearray()  # capped at weak_cap + 1, which no table reads
         for k, fp in enumerate(footprints):
             outside = -1
             for b, _ in fp:
                 outside ^= 1 << b
-            w, left = weak_cap + 1, False
-            for b, inner in fp:
-                for r in reach(b, inner):
-                    left = True
-                    c = (r & outside).bit_count()
-                    if c < w:
-                        w = c
-            weakest.append(w if left else 0)
-            if rows:
-                for b, _ in fp:
+                if rows:
                     rows[b][k >> 3] |= 1 << (k & 7)
+            reaches = [(r & outside).bit_count() for b, inner in fp for r in reach(b, inner)]
+            weakest.append(min(min(reaches), weak_cap + 1) if reaches else 0)
         self.smaller = [_bits_below(sizes, s) for s in range(max(sizes, default=0) + 2)]
         self.weak = [_bits_below(weakest, w + 1) for w in range(weak_cap + 1)]
         self.touches = [int.from_bytes(row, "little") for row in rows]
@@ -275,22 +274,19 @@ class _Extensions:
         return pruned, slow & window & ~pruned
 
 
-def _sweep(
-    candidates: list[Star], footprints: list, t: int, kappa: int, survivors: SurvivorCheck
-):
-    """First size-t subset of the candidates (index tuple, lexicographic
-    order) whose removal disconnects the graph of ``survivors``, or None,
-    with the counts of subsets examined and pruned.
+def _sweep(table: _SweepTable, t: int, kappa: int):
+    """First size-t subset of the table's stars (index tuple, lexicographic
+    order) whose removal disconnects its graph, or None, with the counts of
+    subsets examined and pruned.
 
-    ``footprints[k]`` is candidate k's footprint (``_footprints``).  A
-    subset's footprint is the merge of its members', and its removed-vertex
+    A subset's footprint is the merge of its members', and its removed-vertex
     union size is the popcount sum of the merged masks.  A union smaller
     than ``kappa``, a lower bound on vertex connectivity, is pruned; when t
     elements of the largest size cannot reach ``kappa``, the whole level is
     pruned without a visit.
 
     With a checker, the extensions i of each (t-1)-prefix P are split in
-    bulk (``_Extensions.split``).  When the module sets T_i and T_P are
+    bulk (``_SweepTable.split``).  When the module sets T_i and T_P are
     disjoint, so are the vertex sets, and the merged footprint is P's plus
     i's: the union size is the sum of the two sizes, and ``connected``
     proves the subset iff |T_P| + |T_i| < M and every reach mask R, of P's
@@ -310,14 +306,12 @@ def _sweep(
     its prefix, and pruned the slow prunes plus the bulk prunes below i.
     Without a checker every extension is slow.
     """
+    footprints = table.footprints
     count = len(footprints)
-    sizes = bytes(sum(inner.bit_count() for _, inner in fp) for fp in footprints)
-    if t * max(sizes, default=0) < kappa:
+    if t * max(table.sizes, default=0) < kappa:
         total = math.comb(count, t)
         return None, total, total
-    checker = survivors.checker
-    proves = checker.connected if checker is not None else None
-    extensions = _Extensions(footprints, sizes, t, checker) if checker is not None else None
+    proves = table.checker.connected if table.checker is not None else None
     examined = pruned = 0
     for prefix in itertools.combinations(range(count), t - 1):
         merged: dict[int, int] = {}
@@ -326,10 +320,10 @@ def _sweep(
                 merged[b] = merged.get(b, 0) | inner
         size = sum(inner.bit_count() for inner in merged.values())
         start = prefix[-1] + 1 if prefix else 0
-        if extensions is None:
+        if proves is None:
             bulk_pruned, slow = 0, range(start, count)
         else:
-            bulk_pruned, bits = extensions.split(merged, size, start, kappa)
+            bulk_pruned, bits = table.split(merged, size, start, kappa)
             slow = _members(bits)
         slow_pruned = 0
         for i in slow:
@@ -346,8 +340,8 @@ def _sweep(
                 if proves(touched):
                     continue
             combo = (*prefix, i)
-            removed = [v for k in combo for v in candidates[k].vertices]
-            if components_after_removal(survivors.g, removed).disconnected:
+            removed = [v for k in combo for v in table.stars[k].vertices]
+            if components_after_removal(table.g, removed).disconnected:
                 below = bulk_pruned & ((1 << i) - 1)
                 return combo, examined + i - start + 1, pruned + slow_pruned + below.bit_count()
         examined += count - start
@@ -369,9 +363,9 @@ def exact_structure_connectivity(
         raise ParameterError(f"size budget must be >= 1, got {size_budget}")
     start = time.perf_counter()
     candidates = enumerate_candidates(g, m, mode)
-    footprints = _footprints(candidates, g.dim)
     survivors = SurvivorCheck(g, use_modular)
     checker = survivors.checker
+    table = _SweepTable(candidates, g, checker, size_budget)
     if checker is not None and checker.kappa_lower_bound is not None:
         kappa = checker.kappa_lower_bound
         route = (
@@ -388,7 +382,7 @@ def exact_structure_connectivity(
     examined = pruned = 0
     certificate = None
     for t in range(1, size_budget + 1):
-        hit, t_examined, t_pruned = _sweep(candidates, footprints, t, kappa, survivors)
+        hit, t_examined, t_pruned = _sweep(table, t, kappa)
         examined += t_examined
         pruned += t_pruned
         if hit is not None:

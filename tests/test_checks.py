@@ -18,7 +18,6 @@ from fdsc.checks import (
     check_no_common_neighbor,
 )
 from fdsc.cuts import STRUCTURE
-from fdsc.errors import ParameterError
 from fdsc.graph import Graph
 from fdsc.labels import (
     e1_neighbor,
@@ -381,16 +380,6 @@ class TestRunAll:
         assert a == b
         assert set(a) == {"n", "d", "checks", "overall"}
         assert all(set(c) == {"name", "status", "detail"} for c in a["checks"])
-
-    def test_reuses_provided_graph(self, fdsc8):
-        report = run_all(D3, graph=fdsc8)
-        assert report.overall
-
-    def test_mismatched_graph_fails_before_any_check(self, monkeypatch, fdsc4):
-        calls = TestDegreeSymmetryCalls._counting(monkeypatch)
-        with pytest.raises(ParameterError, match="does not match"):
-            run_all(D3, graph=fdsc4)
-        assert calls == []
 
 
 class TestOneNeighborTable:

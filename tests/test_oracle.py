@@ -21,9 +21,7 @@ from fdsc import (
 )
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, star
 from fdsc.graph import components_after_removal
-from fdsc.oracle import _Extensions, _footprints, _members, _sweep
-
-D2, D3 = make_dim(2), make_dim(3)
+from fdsc.oracle import _members, _sweep, _SweepTable
 
 
 class TestEnumerate:
@@ -169,15 +167,33 @@ class TestExactValues:
             exact_structure_connectivity(fdsc2, 1, STRUCTURE, 0)
 
 
+def _table(g, cands, budget, use_modular=True):
+    """The sweep table ``exact_structure_connectivity`` builds for these
+    candidates, with the checker ``SurvivorCheck`` picks."""
+    return _SweepTable(cands, g, modcheck.SurvivorCheck(g, use_modular).checker, budget)
+
+
+def _prefixes(footprints, t):
+    """Each (t-1)-prefix of the candidates, with its merged footprint, its
+    union size and its first extension, as ``_sweep`` hands them to
+    ``_SweepTable.split``."""
+    for prefix in itertools.combinations(range(len(footprints)), t - 1):
+        merged = {}
+        for k in prefix:
+            for b, inner in footprints[k]:
+                merged[b] = merged.get(b, 0) | inner
+        size = sum(inner.bit_count() for inner in merged.values())
+        yield prefix, merged, size, prefix[-1] + 1 if prefix else 0
+
+
 class TestSweep:
     def test_matches_plain_route_t3(self, fdsc8):
         # the first 60 K_{1,1}-substructure candidates (vertices and edges
         # on centers 0..9): the checker route, the census-only route and a
         # set-union recount agree on the hit, examined and pruned
         cands = enumerate_candidates(fdsc8, 1, SUBSTRUCTURE)[:60]
-        footprints = _footprints(cands, fdsc8.dim)
-        fast = _sweep(cands, footprints, 3, 5, modcheck.SurvivorCheck(fdsc8))
-        plain = _sweep(cands, footprints, 3, 5, modcheck.SurvivorCheck(fdsc8, use_modular=False))
+        fast = _sweep(_table(fdsc8, cands, 3), 3, 5)
+        plain = _sweep(_table(fdsc8, cands, 3, use_modular=False), 3, 5)
         small = sum(
             len(set().union(*(c.vertices for c in combo))) < 5
             for combo in itertools.combinations(cands, 3)
@@ -190,9 +206,8 @@ class TestSweep:
         # mode, t = 1..3, from all candidates or from those centered on one
         # closed neighborhood (where cuts are found): the bulk split with the
         # checker and the census-only route give the same hit, examined and
-        # pruned
-        fast = modcheck.SurvivorCheck(fdsc8)
-        plain = modcheck.SurvivorCheck(fdsc8, use_modular=False)
+        # pruned, and so does the split on a table built for budget 3, whose
+        # extra ``weak`` and ``touches`` rows no level below 3 reads
         pools, hits = {}, []
 
         @settings(max_examples=100, derandomize=True, deadline=None)
@@ -217,13 +232,50 @@ class TestSweep:
                 ball = {around, *fdsc8.adj[around]}
                 pool = [c for c in pool if c.center in ball]
             cands = pool[first % len(pool) :: step][:length]
-            footprints = _footprints(cands, D3)
-            result = _sweep(cands, footprints, t, 5, fast)
-            assert result == _sweep(cands, footprints, t, 5, plain)
+            table, wide = _table(fdsc8, cands, t), _table(fdsc8, cands, 3)
+            for _, merged, size, start in _prefixes(table.footprints, t):
+                assert wide.split(merged, size, start, 5) == table.split(merged, size, start, 5)
+            result = _sweep(_table(fdsc8, cands, t, use_modular=False), t, 5)
+            assert _sweep(table, t, 5) == _sweep(wide, t, 5) == result
             hits.append(result[0] is not None)
 
         agrees()
         assert any(hits)
+
+    # the nine calls of the benchmark's ``oracle-table-n8`` workload
+    @pytest.mark.parametrize(
+        "m,mode,budget",
+        [
+            (1, SUBSTRUCTURE, 2),
+            (2, STRUCTURE, 2),
+            (3, STRUCTURE, 2),
+            (4, STRUCTURE, 2),
+            (2, SUBSTRUCTURE, 2),
+            (3, SUBSTRUCTURE, 2),
+            (4, SUBSTRUCTURE, 2),
+            (5, SUBSTRUCTURE, 2),
+            (5, SUBSTRUCTURE, 1),
+        ],
+    )
+    def test_one_table_per_call(self, m, mode, budget, fdsc8, monkeypatch):
+        builds = []
+        real = _SweepTable.__init__
+
+        def counting(self, stars, g, checker, budget):
+            builds.append(budget)
+            real(self, stars, g, checker, budget)
+
+        monkeypatch.setattr(_SweepTable, "__init__", counting)
+        exact_structure_connectivity(fdsc8, m, mode, budget)
+        assert builds == [budget]
+
+    @pytest.mark.slow
+    def test_closed_neighborhoods_t3(self, fdsc8):
+        # no three closed neighborhoods (K_{1,5} stars) disconnect FDSC_8;
+        # every triple reaches kappa = 5, so none is pruned
+        result = exact_structure_connectivity(fdsc8, 5, STRUCTURE, 3)
+        assert (result.value, result.proven_lower_bound, result.candidates) == (None, 4, 256)
+        assert (result.examined, result.pruned) == (2_796_416, 0)
 
     def test_wholly_pruned_levels_are_counted(self, fdsc8):
         # vertices and edges have at most 2 vertices, so t <= 2 of them
@@ -299,22 +351,15 @@ class TestBulkSplit:
 
     def split_agrees(self, fdsc8, cands, t):
         """Compare the split with ``_slow_reasons`` for every prefix and
-        extension, compare the sweep with the census-only route, and return
+        extension, on a table built for budget t and on one built for budget
+        3; compare the sweep on both with the census-only route, and return
         the reasons met, by (prefix, extension)."""
-        survivors = modcheck.SurvivorCheck(fdsc8)
-        checker = survivors.checker
-        footprints = _footprints(cands, D3)
-        sizes = bytes(len(c.vertices) for c in cands)
-        extensions = _Extensions(footprints, sizes, t, checker)
+        table, wide = _table(fdsc8, cands, t), _table(fdsc8, cands, 3)
+        checker, footprints = table.checker, table.footprints
         met = {}
-        for prefix in itertools.combinations(range(len(cands)), t - 1):
-            merged = {}
-            for k in prefix:
-                for b, inner in footprints[k]:
-                    merged[b] = merged.get(b, 0) | inner
-            size = sum(inner.bit_count() for inner in merged.values())
-            start = prefix[-1] + 1 if prefix else 0
-            pruned, slow = extensions.split(merged, size, start, self.KAPPA)
+        for prefix, merged, size, start in _prefixes(footprints, t):
+            pruned, slow = table.split(merged, size, start, self.KAPPA)
+            assert wide.split(merged, size, start, self.KAPPA) == (pruned, slow)
             for i in range(start, len(cands)):
                 reasons = _slow_reasons(checker, footprints, prefix, i)
                 small = (
@@ -322,9 +367,9 @@ class TestBulkSplit:
                 )
                 assert (pruned >> i & 1, slow >> i & 1) == (small, bool(reasons) and not small)
                 met[prefix, i] = reasons
-        plain = modcheck.SurvivorCheck(fdsc8, use_modular=False)
-        hit = _sweep(cands, footprints, t, self.KAPPA, survivors)
-        assert hit == _sweep(cands, footprints, t, self.KAPPA, plain)
+        hit = _sweep(table, t, self.KAPPA)
+        assert hit == _sweep(wide, t, self.KAPPA)
+        assert hit == _sweep(_table(fdsc8, cands, t, use_modular=False), t, self.KAPPA)
         return met, hit
 
     def test_shared_module(self, fdsc8):
