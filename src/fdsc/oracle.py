@@ -57,11 +57,11 @@ K_{1,1}-substructure family.  The exhaustive mixed removal check is
 ``exact_structure_connectivity(g, 1, SUBSTRUCTURE, budget)`` itself; the
 sampled check and the probe report their violations as families.
 
-Every survivor question here (the family sweeps, the sampled removal check
-and both probe modes) goes through ``modcheck.SurvivorCheck``, which owns
-the rule for when the checker applies.  The sampled check and the probes
-call its ``connected``; the sweep asks its checker with merged footprints
-and falls back to the same plain census.
+The sampled removal check and both probe modes ask
+``modcheck.SurvivorCheck.connected``, which owns the rule for when the
+checker applies.  The family sweeps ask that checker directly, with merged
+footprints, and run the plain census themselves on every subset it does
+not prove connected.
 """
 
 from __future__ import annotations
@@ -101,9 +101,7 @@ def reference_value(d: int, m: int, mode: str) -> int | None:
         return d + 2
     if m == 1:
         return 2 if d <= 2 else d + 1
-    if 2 <= m <= d + 1:
-        return d // 2 + 1
-    if m == d + 2 and mode == SUBSTRUCTURE:
+    if 2 <= m <= d + 1 or (m == d + 2 and mode == SUBSTRUCTURE):
         return d // 2 + 1
     return None
 
@@ -116,24 +114,25 @@ def enumerate_candidates(g: Graph, m: int, mode: str) -> list[Star]:
     with 0..m leaves.  Order is deterministic: centers ascending, leaf
     counts ascending, leaf combinations lexicographic; the first star with
     a given vertex set is kept.
+
+    Another star with the vertex set S = L | {c} of (c, L) is (u, S - {u})
+    for a u in S, earlier iff u < c (a leaf) and present iff S lies in the
+    closed neighborhood N[u]: (c, L) is kept unless some leaf u < c has S
+    inside N[u], so no set of the emitted vertex sets is needed.
     """
     if m < 0:
         raise ParameterError(f"pattern order must be >= 0, got {m}")
     if mode not in (STRUCTURE, SUBSTRUCTURE):
         raise ParameterError(f"mode must be structure|substructure, got {mode!r}")
     sizes = (m,) if mode == STRUCTURE else tuple(range(m + 1))
-    seen: set[frozenset[int]] = set()
-    out: list[Star] = []
-    for center in range(g.vertex_count):
-        nbrs = g.adj[center]
-        for j in sizes:
-            for combo in itertools.combinations(nbrs, j):
-                key = frozenset(combo) | {center}
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(Star(center=center, leaves=frozenset(combo)))
-    return out
+    ball = [{v, *nbrs} for v, nbrs in enumerate(g.adj)]  # closed neighborhoods
+    return [
+        Star(center=center, leaves=frozenset(combo))
+        for center, nbrs in enumerate(g.adj)
+        for j in sizes
+        for combo in itertools.combinations(nbrs, j)
+        if not any(u < center and center in ball[u] and ball[u].issuperset(combo) for u in combo)
+    ]
 
 
 @dataclass
@@ -196,41 +195,42 @@ def _members(bits: int):
 class _SweepTable:
     """What ``_sweep`` reads about the candidate ``stars``, derived once per
     ``exact_structure_connectivity`` call for every family size up to
-    ``budget``: each star's ``modcheck.footprint`` as a tuple of (module,
-    inner mask) pairs, equal pairs stored once (the 6,848
-    K_{1,5}-substructure stars of FDSC_8 hold 10,816 pairs, of which 2,880
-    are distinct), its size, and, with a ``checker``, candidate-index
+    ``budget`` and the bound ``kappa``: each star's ``modcheck.footprint``
+    as a tuple of (module, inner mask) pairs, equal pairs stored once (the
+    6,848 K_{1,5}-substructure stars of FDSC_8 hold 10,816 pairs, of which
+    2,880 are distinct), its size, and, with a ``checker``, candidate-index
     bitsets (bit k for candidate k) that settle a prefix's module-disjoint
-    extensions in bulk.
+    extensions in bulk.  The checker is dropped, and no bitset built, when
+    every level up to ``budget`` is wholly pruned.
 
     For candidate i with module set T_i: ``smaller[s]`` holds the
     candidates with fewer than s vertices, ``weak[w]`` those whose weakest
     reach min |R & ~T_i|, over the reach masks R of their own components,
     is at most w, and ``touches[b]`` those that touch module b.  A
     candidate with no component left counts as weakest reach 0.  A
-    prefix's module set T_P has at most (budget - 1) * max|T_i| modules, so
-    no ``weak`` table past that is built, and ``touches`` only when
-    budget > 1.
+    prefix's module set T_P has at most min((budget - 1) * max|T_i|, M)
+    modules, so no ``weak`` table past that is built, and ``touches`` only
+    when budget > 1.
     """
 
-    def __init__(self, stars: list[Star], g: Graph, checker, budget: int):
-        self.stars, self.g, self.checker = stars, g, checker
+    def __init__(self, stars: list[Star], g: Graph, checker, budget: int, kappa: int):
+        self.stars, self.g = stars, g
         shared: dict[tuple[int, int], tuple[int, int]] = {}
         self.footprints = footprints = [
             tuple(shared.setdefault(pair, pair) for pair in footprint(c.vertices, g.dim).items())
             for c in stars
         ]
         self.sizes = sizes = bytes(sum(inner.bit_count() for _, inner in fp) for fp in footprints)
-        if checker is None:
+        self.checker = checker if budget * max(sizes, default=0) >= kappa else None
+        if self.checker is None:
             return
         count = len(footprints)
         self.reach = reach = checker.reach
         self.full = (1 << count) - 1
         self.widest = max(map(len, footprints), default=0)
-        weak_cap = (budget - 1) * self.widest
-        rows = (
-            [bytearray((count + 7) >> 3) for _ in range(checker.module_count)] if budget > 1 else []
-        )
+        modules = checker.module_count
+        weak_cap = min((budget - 1) * self.widest, modules)
+        rows = [bytearray((count + 7) >> 3) for _ in range(modules)] if budget > 1 else []
         weakest = bytearray()  # capped at weak_cap + 1, which no table reads
         for k, fp in enumerate(footprints):
             outside = -1
@@ -365,7 +365,6 @@ def exact_structure_connectivity(
     candidates = enumerate_candidates(g, m, mode)
     survivors = SurvivorCheck(g, use_modular)
     checker = survivors.checker
-    table = _SweepTable(candidates, g, checker, size_budget)
     if checker is not None and checker.kappa_lower_bound is not None:
         kappa = checker.kappa_lower_bound
         route = (
@@ -379,6 +378,7 @@ def exact_structure_connectivity(
     else:
         kappa = vertex_connectivity(g)
         route, exact = "computed by flow", True
+    table = _SweepTable(candidates, g, checker, size_budget, kappa)
     examined = pruned = 0
     certificate = None
     for t in range(1, size_budget + 1):

@@ -1,10 +1,14 @@
-"""Independent reference for the adjacency rules, working on label strings.
+"""Independent references for the tests.
 
-Everything here manipulates Python strings by slicing, so it shares no
-code path with the packed-integer arithmetic under test.  Tests derive
-expected values from these helpers (or freeze values computed by them)
-and compare against the fast implementation.
+The adjacency rules work on label strings: they manipulate Python strings
+by slicing, so they share no code path with the packed-integer arithmetic
+under test.  ``ref_candidates`` is the candidate enumeration by memory: a
+set of the vertex sets emitted so far.  Tests derive expected values from
+these helpers (or freeze values computed by them) and compare against the
+fast implementation.
 """
+
+import itertools
 
 
 def ref_complement(text: str) -> str:
@@ -40,3 +44,20 @@ def ref_neighbors(text: str, variant: str = "fdsc") -> set[str]:
 
 def all_labels(n: int) -> list[str]:
     return [format(v, f"0{n}b") for v in range(2 ** n)]
+
+
+def ref_candidates(adj: list[list[int]], m: int, mode: str) -> list[tuple[int, frozenset]]:
+    """(center, leaves) of every star with m leaves ("structure") or 0..m
+    leaves (any other mode): centers ascending, leaf counts ascending, leaf
+    combinations in row order, and a star dropped when an earlier one had
+    the same vertex set."""
+    sizes = (m,) if mode == "structure" else range(m + 1)
+    seen, out = set(), []
+    for center, nbrs in enumerate(adj):
+        for j in sizes:
+            for combo in itertools.combinations(nbrs, j):
+                key = frozenset(combo) | {center}
+                if key not in seen:
+                    seen.add(key)
+                    out.append((center, frozenset(combo)))
+    return out

@@ -22,6 +22,23 @@ from fdsc import (
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, star
 from fdsc.graph import components_after_removal
 from fdsc.oracle import _members, _sweep, _SweepTable
+from refimpl import ref_candidates
+
+
+def _pairs(stars):
+    return [(s.center, s.leaves) for s in stars]
+
+
+@st.composite
+def _loose_rows(draw):
+    """Adjacency rows of 2..8 vertices, each drawn on its own: distinct
+    entries, no vertex in its own row, any order, and v in row u need not
+    mean u in row v."""
+    n = draw(st.integers(2, 8))
+    return [
+        draw(st.lists(st.sampled_from([u for u in range(n) if u != v]), unique=True))
+        for v in range(n)
+    ]
 
 
 class TestEnumerate:
@@ -59,6 +76,27 @@ class TestEnumerate:
     def test_bad_mode(self, fdsc4):
         with pytest.raises(ParameterError):
             enumerate_candidates(fdsc4, 1, "induced")
+
+    @pytest.mark.parametrize("mode", [STRUCTURE, SUBSTRUCTURE])
+    @pytest.mark.parametrize("name", ["fdsc2", "fdsc4", "fdsc8", "dsc8"])
+    def test_matches_seen_set_reference(self, name, mode, request):
+        g = request.getfixturevalue(name)
+        for m in range(g.dim.d + 3):
+            assert _pairs(enumerate_candidates(g, m, mode)) == ref_candidates(g.adj, m, mode)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(rows=_loose_rows(), m=st.integers(0, 4), mode=st.sampled_from((STRUCTURE, SUBSTRUCTURE)))
+    def test_matches_seen_set_reference_on_loose_rows(self, rows, m, mode):
+        # the canonical-center rule keeps the first star per vertex set for
+        # any rows, sorted or not, symmetric or not
+        g = Graph(dim=make_dim(1), variant=FDSC, adj=rows)
+        assert _pairs(enumerate_candidates(g, m, mode)) == ref_candidates(rows, m, mode)
+
+    @pytest.mark.slow
+    def test_matches_seen_set_reference_n16(self, fdsc16):
+        cands = enumerate_candidates(fdsc16, 5, STRUCTURE)
+        assert len(cands) == 393_216
+        assert _pairs(cands) == ref_candidates(fdsc16.adj, 5, STRUCTURE)
 
 
 EXACT_SMALL = [
@@ -169,8 +207,9 @@ class TestExactValues:
 
 def _table(g, cands, budget, use_modular=True):
     """The sweep table ``exact_structure_connectivity`` builds for these
-    candidates, with the checker ``SurvivorCheck`` picks."""
-    return _SweepTable(cands, g, modcheck.SurvivorCheck(g, use_modular).checker, budget)
+    candidates, with the checker ``SurvivorCheck`` picks and FDSC_8's
+    kappa, 5."""
+    return _SweepTable(cands, g, modcheck.SurvivorCheck(g, use_modular).checker, budget, 5)
 
 
 def _prefixes(footprints, t):
@@ -207,7 +246,9 @@ class TestSweep:
         # closed neighborhood (where cuts are found): the bulk split with the
         # checker and the census-only route give the same hit, examined and
         # pruned, and so does the split on a table built for budget 3, whose
-        # extra ``weak`` and ``touches`` rows no level below 3 reads
+        # extra ``weak`` and ``touches`` rows no level below 3 reads, and on
+        # one built for budget 10^5, whose ``weak`` rows stop at the module
+        # count.  A table whose levels are all pruned has no split
         pools, hits = {}, []
 
         @settings(max_examples=100, derandomize=True, deadline=None)
@@ -233,10 +274,14 @@ class TestSweep:
                 pool = [c for c in pool if c.center in ball]
             cands = pool[first % len(pool) :: step][:length]
             table, wide = _table(fdsc8, cands, t), _table(fdsc8, cands, 3)
+            huge = _table(fdsc8, cands, 10**5)
+            split_by = [x.split for x in (table, wide, huge) if x.checker is not None]
+            if huge.checker is not None:
+                assert len(huge.weak) <= huge.checker.module_count + 1
             for _, merged, size, start in _prefixes(table.footprints, t):
-                assert wide.split(merged, size, start, 5) == table.split(merged, size, start, 5)
+                assert len({split(merged, size, start, 5) for split in split_by}) <= 1
             result = _sweep(_table(fdsc8, cands, t, use_modular=False), t, 5)
-            assert _sweep(table, t, 5) == _sweep(wide, t, 5) == result
+            assert _sweep(table, t, 5) == _sweep(wide, t, 5) == _sweep(huge, t, 5) == result
             hits.append(result[0] is not None)
 
         agrees()
@@ -261,9 +306,9 @@ class TestSweep:
         builds = []
         real = _SweepTable.__init__
 
-        def counting(self, stars, g, checker, budget):
+        def counting(self, stars, g, checker, budget, kappa):
             builds.append(budget)
-            real(self, stars, g, checker, budget)
+            real(self, stars, g, checker, budget, kappa)
 
         monkeypatch.setattr(_SweepTable, "__init__", counting)
         exact_structure_connectivity(fdsc8, m, mode, budget)
@@ -277,12 +322,22 @@ class TestSweep:
         assert (result.value, result.proven_lower_bound, result.candidates) == (None, 4, 256)
         assert (result.examined, result.pruned) == (2_796_416, 0)
 
-    def test_wholly_pruned_levels_are_counted(self, fdsc8):
+    def test_wholly_pruned_levels_are_counted(self, fdsc8, monkeypatch):
         # vertices and edges have at most 2 vertices, so t <= 2 of them
-        # never reach kappa = 5: both levels are pruned without a visit
+        # never reach kappa = 5: both levels are pruned without a visit, and
+        # the table derives no reach mask for bitsets that no level reads
+        calls = []
+        real = modcheck.ModularChecker.reach
+
+        def counting(self, b, removed_mask):
+            calls.append(b)
+            return real(self, b, removed_mask)
+
+        monkeypatch.setattr(modcheck.ModularChecker, "reach", counting)
         result = exact_structure_connectivity(fdsc8, 1, SUBSTRUCTURE, 2)
         assert result.examined == result.pruned == 896 + math.comb(896, 2) == 401_856
         assert result.connectivity_checks == 0
+        assert calls == []
 
     def test_level_at_the_bound_is_swept(self, fdsc8):
         # t * max|element| = 1 * 5 = kappa: the five-vertex stars of m = 4
