@@ -15,6 +15,7 @@ rows are then sorted in place into the graph the other graph checks use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -136,43 +137,70 @@ def check_label_invariants(dim: Dim, table=None) -> list[CheckResult]:
     with matching kinds (v at position i of N(u) exactly when u is at
     position i of N(v)), and the top-level swap complements exactly s_1 s_2
     (so e1 after it equals the folded map).  Each map is read at its
-    position in ``table`` (``_neighbor_table(dim)`` by default)."""
+    position in ``table`` (``_neighbor_table(dim)`` by default).  The first
+    two checks both rest on ``table[table[u][i]][i] == u``, so one pass over
+    the labels serves both; each still names the failure its own scan order
+    meets first (maps in turn for the involutions, labels in turn for
+    symmetry)."""
     labels, scope = _labels_to_scan(dim)
     table = table if table is not None else _neighbor_table(dim)
     expected_degree = dim.d + 2
     # neighbor_set positions: swap level k >= 2 at k-1, level 1 (cross) at d
     swap_at = {k: k - 1 if k > 1 else dim.d for k in range(1, dim.d + 1)}
 
+    @functools.cache
+    def faults():
+        """One pass over the scanned labels for both checks below: per
+        position i, the first label whose map i fixes it or is not undone at
+        i (``table[table[u][i]][i] != u``), and the first label (with the
+        failing position, if any) whose row has the wrong degree, holds the
+        label itself, or is undone wrongly somewhere."""
+        at_position: dict[int, int] = {}
+        row_fault = None
+        for u in labels:
+            nbrs = table[u]
+            first = None
+            for i, v in zip(range(expected_degree), nbrs):
+                if v == u or table[v][i] != u:
+                    at_position.setdefault(i, u)
+                    if first is None:
+                        first = i
+            if row_fault is None and (
+                first is not None or len(nbrs) != expected_degree or len(set(nbrs)) != len(nbrs)
+            ):
+                row_fault = (u, first)
+        return at_position, row_fault
+
     def involutions():
         maps = [("e1", 0), ("ef", dim.d + 1)]
         maps += [(f"swap{k}", i) for k, i in swap_at.items()]
+        at_position, _ = faults()
         for name, i in maps:
-            for u in labels:
-                v = table[u][i]
-                if v == u:
+            if i in at_position:
+                u = at_position[i]
+                if table[u][i] == u:
                     return FAIL, f"{name} fixes {format_label(u, dim)}"
-                if table[v][i] != u:
-                    return FAIL, f"{name} is not an involution at {format_label(u, dim)}"
+                return FAIL, f"{name} is not an involution at {format_label(u, dim)}"
         return PASS, f"{scope}; {len(labels)} labels, d+1 swap levels"
 
     def degree_and_symmetry():
-        for u in labels:
-            nbrs = table[u]
-            seen_labels = set(nbrs)
-            if len(nbrs) != expected_degree or len(seen_labels) != expected_degree:
-                return FAIL, (
-                    f"{format_label(u, dim)} has {len(seen_labels)} distinct "
-                    f"neighbors, expected {expected_degree}"
-                )
-            if u in seen_labels:
-                return FAIL, f"{format_label(u, dim)} adjacent to itself"
-            for i, v in enumerate(nbrs):
-                if table[v][i] != u:
-                    return FAIL, (
-                        f"asymmetric edge {format_label(u, dim)} -- "
-                        f"{format_label(v, dim)} at neighbor position {i}"
-                    )
-        return PASS, f"{scope}; degree {expected_degree} everywhere"
+        _, row_fault = faults()
+        if row_fault is None:
+            return PASS, f"{scope}; degree {expected_degree} everywhere"
+        u, i = row_fault
+        nbrs = table[u]
+        seen_labels = set(nbrs)
+        if len(nbrs) != expected_degree or len(seen_labels) != expected_degree:
+            return FAIL, (
+                f"{format_label(u, dim)} has {len(seen_labels)} distinct "
+                f"neighbors, expected {expected_degree}"
+            )
+        if u in seen_labels:
+            return FAIL, f"{format_label(u, dim)} adjacent to itself"
+        return FAIL, (
+            f"asymmetric edge {format_label(u, dim)} -- "
+            f"{format_label(nbrs[i], dim)} at neighbor position {i}"
+        )
 
     def top_swap_flips_two():
         head_mask = 0b11 << (dim.n - 2)

@@ -29,13 +29,22 @@ the result so a reviewer can audit the exhaustiveness argument:
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
 
-The sweep engine is a ``_SweepTable``, built once per call, and ``_sweep``,
-a stateless function of the table, the family size and a kappa bound.  The
-table holds each candidate's footprint (``modcheck.footprint``: its vertex
-set split into (module, inner mask) pairs), size and bulk bitsets.  The
-sweep merges the footprints of each (t-1)-prefix once, reads a subset's
-union size as the popcount sum of the merged masks, and hands the merged
-footprint to the checker; the label list is built only for the census.
+A candidate is a *key*, not an object: its center plus a bitmask of leaf
+positions in the center's row ``g.adj[center]``, held in flat arrays
+(``_Keys``).  ``_candidate_keys`` generates them center by center and drops
+a star whose vertex set an earlier center already covers by a per-position
+rule, so no set of emitted vertex sets is kept.  ``Star`` objects are made
+only where a caller sees them: by ``enumerate_candidates``, which
+materializes the same keys, and for the certificate.
+
+The sweep engine is a ``_SweepTable``, built once per call from the keys,
+and ``_sweep``, a stateless function of the table, the family size and a
+kappa bound.  The table holds each candidate's footprint (its vertex set
+split into (module, inner mask) pairs, as ``modcheck.footprint`` splits
+it), size and bulk bitsets.  The sweep merges the footprints of each
+(t-1)-prefix once, reads a subset's union size as the popcount sum of the
+merged masks, and hands the merged footprint to the checker; the label
+list is built from the keys, only for the census.
 
 Most extensions of a prefix touch no module the prefix touches, and for
 those the checker's rule (``ModularChecker.connected``: fewer than all
@@ -70,6 +79,7 @@ import itertools
 import math
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 
 from .cuts import (
@@ -106,19 +116,41 @@ def reference_value(d: int, m: int, mode: str) -> int | None:
     return None
 
 
-def enumerate_candidates(g: Graph, m: int, mode: str) -> list[Star]:
-    """Every candidate star of pattern order m, deduplicated by vertex set.
+@dataclass(frozen=True)
+class _Keys:
+    """Candidate stars as keys in flat arrays: key k is the star with center
+    ``centers[k]`` and a leaf at each set bit p of ``masks[k]``, bit p for
+    position p of the center's row ``rows[centers[k]]``."""
 
-    Structure mode: all stars with exactly m leaves (every center, every
-    m-subset of its sorted neighbor list).  Substructure mode: all stars
-    with 0..m leaves.  Order is deterministic: centers ascending, leaf
-    counts ascending, leaf combinations lexicographic; the first star with
-    a given vertex set is kept.
+    centers: array
+    masks: list[int]
+    rows: list[list[int]]
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def vertices(self, k: int) -> list[int]:
+        """Center and leaves of key k."""
+        center = self.centers[k]
+        row = self.rows[center]
+        return [center, *(row[p] for p in _members(self.masks[k]))]
+
+    def star(self, k: int) -> Star:
+        center, *leaves = self.vertices(k)
+        return Star(center=center, leaves=frozenset(leaves))
+
+
+def _candidate_keys(g: Graph, m: int, mode: str) -> _Keys:
+    """The keys of ``enumerate_candidates(g, m, mode)``, in its order.
 
     Another star with the vertex set S = L | {c} of (c, L) is (u, S - {u})
     for a u in S, earlier iff u < c (a leaf) and present iff S lies in the
-    closed neighborhood N[u]: (c, L) is kept unless some leaf u < c has S
-    inside N[u], so no set of the emitted vertex sets is needed.
+    closed neighborhood N[u].  So per center c, each position p whose
+    neighbor u is below c with c in N[u] gets the mask ``outside`` of the
+    positions whose neighbors lie outside N[u], and a leaf mask is dropped
+    iff it holds such a p and misses p's ``outside``: all its leaves lie in
+    N[u].  No set of the emitted vertex sets is needed, and every center's
+    masks are filtered from one list per row length.
     """
     if m < 0:
         raise ParameterError(f"pattern order must be >= 0, got {m}")
@@ -126,13 +158,42 @@ def enumerate_candidates(g: Graph, m: int, mode: str) -> list[Star]:
         raise ParameterError(f"mode must be structure|substructure, got {mode!r}")
     sizes = (m,) if mode == STRUCTURE else tuple(range(m + 1))
     ball = [{v, *nbrs} for v, nbrs in enumerate(g.adj)]  # closed neighborhoods
-    return [
-        Star(center=center, leaves=frozenset(combo))
-        for center, nbrs in enumerate(g.adj)
-        for j in sizes
-        for combo in itertools.combinations(nbrs, j)
-        if not any(u < center and center in ball[u] and ball[u].issuperset(combo) for u in combo)
-    ]
+    every: dict[int, list[int]] = {}  # row length -> its masks in candidate order
+    centers, masks = array("I"), []
+    for center, row in enumerate(g.adj):
+        kept = every.get(len(row))
+        if kept is None:
+            kept = every[len(row)] = [
+                sum(1 << p for p in combo)
+                for j in sizes
+                for combo in itertools.combinations(range(len(row)), j)
+            ]
+        for p, u in enumerate(row):
+            if u < center and center in ball[u]:
+                outside = sum(1 << q for q, w in enumerate(row) if w not in ball[u])
+                kept = [mask for mask in kept if not mask >> p & 1 or mask & outside]
+        centers.fromlist([center] * len(kept))
+        masks += kept
+    return _Keys(centers, masks, g.adj)
+
+
+def enumerate_candidates(g: Graph, m: int, mode: str) -> list[Star]:
+    """Every candidate star of pattern order m, deduplicated by vertex set.
+
+    Structure mode: all stars with exactly m leaves (every center, every
+    m-subset of its neighbor row).  Substructure mode: all stars with 0..m
+    leaves.  Order is deterministic: centers ascending, leaf counts
+    ascending, leaf combinations lexicographic in row order; the first star
+    with a given vertex set is kept.
+
+    The stars are materialized from the keys the oracle sweeps
+    (``_candidate_keys``: center plus leaf-position mask, deduplicated per
+    position, with no set of emitted vertex sets), so both read one
+    enumeration rule; the oracle itself makes a ``Star`` only for its
+    certificate.
+    """
+    keys = _candidate_keys(g, m, mode)
+    return [keys.star(k) for k in range(len(keys))]
 
 
 @dataclass
@@ -193,39 +254,56 @@ def _members(bits: int):
 
 
 class _SweepTable:
-    """What ``_sweep`` reads about the candidate ``stars``, derived once per
+    """What ``_sweep`` reads about the candidates ``keys``, derived once per
     ``exact_structure_connectivity`` call for every family size up to
-    ``budget`` and the bound ``kappa``: each star's ``modcheck.footprint``
-    as a tuple of (module, inner mask) pairs, equal pairs stored once (the
-    6,848 K_{1,5}-substructure stars of FDSC_8 hold 10,816 pairs, of which
-    2,880 are distinct), its size, and, with a ``checker``, candidate-index
-    bitsets (bit k for candidate k) that settle a prefix's module-disjoint
-    extensions in bulk.  The checker is dropped, and no bitset built, when
-    every level up to ``budget`` is wholly pruned.
+    ``budget`` and the bound ``kappa``: each candidate's footprint as a
+    tuple of (module, inner mask) pairs, merged from the (module, inner bit)
+    pair of its center and of each leaf position in its mask, equal pairs
+    stored once (the 6,848 K_{1,5}-substructure stars of FDSC_8 hold 10,816
+    pairs, of which 2,880 are distinct), its size, and, with a ``checker``,
+    candidate-index bitsets (bit k for candidate k) that settle a prefix's
+    module-disjoint extensions in bulk.  The checker is dropped, and no
+    bitset built, when every level up to ``budget`` is wholly pruned.  The
+    table holds no ``Star``: the census reads its labels from the keys
+    (``_Keys.vertices``), and only the certificate's stars are made.
 
     For candidate i with module set T_i: ``smaller[s]`` holds the
     candidates with fewer than s vertices, ``weak[w]`` those whose weakest
     reach min |R & ~T_i|, over the reach masks R of their own components,
     is at most w, and ``touches[b]`` those that touch module b.  A
-    candidate with no component left counts as weakest reach 0.  A
-    prefix's module set T_P has at most min((budget - 1) * max|T_i|, M)
-    modules, so no ``weak`` table past that is built, and ``touches`` only
-    when budget > 1.
+    candidate with no component left counts as weakest reach 0.  The reach
+    masks come from one ``reach`` call per distinct pair.  A prefix's
+    module set T_P has at most min((budget - 1) * max|T_i|, M) modules, so
+    no ``weak`` table past that is built, and ``touches`` only when
+    budget > 1.
     """
 
-    def __init__(self, stars: list[Star], g: Graph, checker, budget: int, kappa: int):
-        self.stars, self.g = stars, g
-        shared: dict[tuple[int, int], tuple[int, int]] = {}
-        self.footprints = footprints = [
-            tuple(shared.setdefault(pair, pair) for pair in footprint(c.vertices, g.dim).items())
-            for c in stars
-        ]
-        self.sizes = sizes = bytes(sum(inner.bit_count() for _, inner in fp) for fp in footprints)
+    def __init__(self, keys: _Keys, g: Graph, checker, budget: int, kappa: int):
+        self.keys, self.g = keys, g
+        place = [footprint((v,), g.dim).popitem() for v in range(g.vertex_count)]
+        positions: dict[int, tuple[int, ...]] = {}  # leaf mask -> its set bits
+        # each distinct pair -> itself, then -> its reach masks once a checker is kept
+        shared: dict[tuple[int, int], tuple[int, ...]] = {}
+        footprints, sizes = [], bytearray()
+        for center, mask in zip(keys.centers, keys.masks):
+            row = keys.rows[center]
+            spots = positions.get(mask)
+            if spots is None:
+                spots = positions[mask] = tuple(_members(mask))
+            fp = dict((place[center],))
+            for p in spots:
+                b, bit = place[row[p]]
+                fp[b] = fp.get(b, 0) | bit
+            footprints.append(tuple(shared.setdefault(pair, pair) for pair in fp.items()))
+            sizes.append(sum(inner.bit_count() for inner in fp.values()))
+        self.footprints, self.sizes = footprints, bytes(sizes)
         self.checker = checker if budget * max(sizes, default=0) >= kappa else None
         if self.checker is None:
             return
         count = len(footprints)
         self.reach = reach = checker.reach
+        for pair in shared:
+            shared[pair] = reach(*pair)
         self.full = (1 << count) - 1
         self.widest = max(map(len, footprints), default=0)
         modules = checker.module_count
@@ -238,9 +316,9 @@ class _SweepTable:
                 outside ^= 1 << b
                 if rows:
                     rows[b][k >> 3] |= 1 << (k & 7)
-            reaches = [(r & outside).bit_count() for b, inner in fp for r in reach(b, inner)]
-            weakest.append(min(min(reaches), weak_cap + 1) if reaches else 0)
-        self.smaller = [_bits_below(sizes, s) for s in range(max(sizes, default=0) + 2)]
+            counts = [(r & outside).bit_count() for pair in fp for r in shared[pair]]
+            weakest.append(min(min(counts), weak_cap + 1) if counts else 0)
+        self.smaller = [_bits_below(self.sizes, s) for s in range(max(sizes, default=0) + 2)]
         self.weak = [_bits_below(weakest, w + 1) for w in range(weak_cap + 1)]
         self.touches = [int.from_bytes(row, "little") for row in rows]
 
@@ -275,7 +353,7 @@ class _SweepTable:
 
 
 def _sweep(table: _SweepTable, t: int, kappa: int):
-    """First size-t subset of the table's stars (index tuple, lexicographic
+    """First size-t subset of the table's candidates (index tuple, lexicographic
     order) whose removal disconnects its graph, or None, with the counts of
     subsets examined and pruned.
 
@@ -340,7 +418,7 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
                 if proves(touched):
                     continue
             combo = (*prefix, i)
-            removed = [v for k in combo for v in table.stars[k].vertices]
+            removed = [v for k in combo for v in table.keys.vertices(k)]
             if components_after_removal(table.g, removed).disconnected:
                 below = bulk_pruned & ((1 << i) - 1)
                 return combo, examined + i - start + 1, pruned + slow_pruned + below.bit_count()
@@ -362,7 +440,7 @@ def exact_structure_connectivity(
     if size_budget < 1:
         raise ParameterError(f"size budget must be >= 1, got {size_budget}")
     start = time.perf_counter()
-    candidates = enumerate_candidates(g, m, mode)
+    keys = _candidate_keys(g, m, mode)
     survivors = SurvivorCheck(g, use_modular)
     checker = survivors.checker
     if checker is not None and checker.kappa_lower_bound is not None:
@@ -378,7 +456,7 @@ def exact_structure_connectivity(
     else:
         kappa = vertex_connectivity(g)
         route, exact = "computed by flow", True
-    table = _SweepTable(candidates, g, checker, size_budget, kappa)
+    table = _SweepTable(keys, g, checker, size_budget, kappa)
     examined = pruned = 0
     certificate = None
     for t in range(1, size_budget + 1):
@@ -386,7 +464,7 @@ def exact_structure_connectivity(
         examined += t_examined
         pruned += t_pruned
         if hit is not None:
-            certificate = FaultFamily([candidates[i] for i in hit], pattern_m=m, mode=mode)
+            certificate = FaultFamily([keys.star(i) for i in hit], pattern_m=m, mode=mode)
             if not apply_cut(g, certificate).is_cut:
                 raise AssertionError("the plain census rejects the sweep's certificate")
             break
@@ -409,7 +487,7 @@ def exact_structure_connectivity(
         value=value,
         proven_lower_bound=size_budget + 1 if value is None else value,
         certificate=certificate,
-        candidates=len(candidates),
+        candidates=len(keys),
         examined=examined,
         pruned=pruned,
         elapsed_ms=elapsed_ms,

@@ -3,12 +3,17 @@
 The adjacency rules work on label strings: they manipulate Python strings
 by slicing, so they share no code path with the packed-integer arithmetic
 under test.  ``ref_candidates`` is the candidate enumeration by memory: a
-set of the vertex sets emitted so far.  Tests derive expected values from
+set of the vertex sets emitted so far.  ``ref_table`` derives the oracle's
+sweep table from ``Star`` objects, one footprint per star and one reach
+call per footprint pair.  Tests derive expected values from
 these helpers (or freeze values computed by them) and compare against the
 fast implementation.
 """
 
 import itertools
+from types import SimpleNamespace
+
+from fdsc.modcheck import footprint
 
 
 def ref_complement(text: str) -> str:
@@ -61,3 +66,73 @@ def ref_candidates(adj: list[list[int]], m: int, mode: str) -> list[tuple[int, f
                     seen.add(key)
                     out.append((center, frozenset(combo)))
     return out
+
+
+def _bits_below(values, bound):
+    return sum(1 << k for k, v in enumerate(values) if v < bound)
+
+
+def ref_table(stars, dim, checker, budget, kappa):
+    """What the oracle's sweep table holds for ``stars``: ``footprints`` (one
+    dict per star, by ``modcheck.footprint``), ``sizes`` and, when some
+    level up to ``budget`` is not wholly pruned and there is a ``checker``,
+    the bitsets ``smaller``, ``weak`` and ``touches`` (bit k for star k),
+    with each star's weakest reach from one ``reach`` call per footprint
+    pair.  The bitset attributes are None where the table builds none."""
+    footprints = [footprint(s.vertices, dim) for s in stars]
+    sizes = [sum(inner.bit_count() for inner in fp.values()) for fp in footprints]
+    out = SimpleNamespace(footprints=footprints, sizes=sizes, smaller=None, weak=None, touches=None)
+    if checker is None or budget * max(sizes, default=0) < kappa:
+        return out
+    widest = max(map(len, footprints), default=0)
+    weak_cap = min((budget - 1) * widest, checker.module_count)
+    weakest = []
+    for fp in footprints:
+        modules = sum(1 << b for b in fp)
+        counts = [
+            (r & ~modules).bit_count() for b, inner in fp.items() for r in checker.reach(b, inner)
+        ]
+        weakest.append(min(counts) if counts else 0)
+    out.smaller = [_bits_below(sizes, s) for s in range(max(sizes, default=0) + 2)]
+    out.weak = [_bits_below(weakest, w + 1) for w in range(weak_cap + 1)]
+    out.touches = [
+        sum(1 << k for k, fp in enumerate(footprints) if b in fp)
+        for b in range(checker.module_count)
+    ] if budget > 1 else []
+    return out
+
+
+def ref_label_symmetry(table, labels, d, fmt):
+    """(status, detail) of ``label-involutions`` and of
+    ``label-degree-symmetry`` as two separate scans: maps in turn, then
+    labels in turn.  ``fmt`` formats a label."""
+    degree = d + 2
+    maps = [("e1", 0), ("ef", d + 1)]
+    maps += [(f"swap{k}", k - 1 if k > 1 else d) for k in range(1, d + 1)]
+
+    def involutions():
+        for name, i in maps:
+            for u in labels:
+                v = table[u][i]
+                if v == u:
+                    return "fail", f"{name} fixes {fmt(u)}"
+                if table[v][i] != u:
+                    return "fail", f"{name} is not an involution at {fmt(u)}"
+        return "pass", None
+
+    def symmetry():
+        for u in labels:
+            nbrs = table[u]
+            distinct = set(nbrs)
+            if len(nbrs) != degree or len(distinct) != degree:
+                return "fail", f"{fmt(u)} has {len(distinct)} distinct neighbors, expected {degree}"
+            if u in distinct:
+                return "fail", f"{fmt(u)} adjacent to itself"
+            for i, v in enumerate(nbrs):
+                if table[v][i] != u:
+                    return "fail", (
+                        f"asymmetric edge {fmt(u)} -- {fmt(v)} at neighbor position {i}"
+                    )
+        return "pass", None
+
+    return involutions(), symmetry()

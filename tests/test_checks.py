@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdsc.graph
@@ -28,6 +28,7 @@ from fdsc.labels import (
     swap_neighbor,
 )
 from fdsc.modcheck import ModularChecker
+from refimpl import ref_label_symmetry
 
 D2, D3 = make_dim(2), make_dim(3)
 
@@ -61,6 +62,54 @@ class TestLabelInvariants:
         checks = check_label_invariants(make_dim(6))
         assert all(c.status == PASS for c in checks)
         assert any("sampled" in c.detail for c in checks)
+
+
+class TestSharedSymmetryPass:
+    """``label-involutions`` and ``label-degree-symmetry`` read one pass over
+    the labels, and each names the failure its own scan order meets first:
+    the two separate scans of ``ref_label_symmetry`` give the same verdicts
+    on tables with a few entries overwritten or appended."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 255), st.integers(0, 5), st.integers(0, 255)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example(edits=[(0x05, 2, 0x05)])  # a fixed point: a self-loop
+    @example(edits=[(0x07, 5, 0x09)])  # a sixth neighbor
+    @example(edits=[(0x00, 0, neighbor_set(0x00, D3)[1])])  # a repeated neighbor
+    def test_verdicts_match_separate_scans(self, edits):
+        table = checks._neighbor_table(D3)
+        for u, i, w in edits:
+            if i < len(table[u]):
+                table[u][i] = w
+            else:
+                table[u].append(w)  # one neighbor too many
+        results = by_name(check_label_invariants(D3, table))
+        labels, _ = checks._labels_to_scan(D3)
+        expected = ref_label_symmetry(table, labels, D3.d, lambda u: format_label(u, D3))
+        for name, (status, detail) in zip(
+            ("label-involutions", "label-degree-symmetry"), expected
+        ):
+            assert results[name].status == status
+            if detail is not None:
+                assert results[name].detail == detail
+
+    def test_orders_differ(self):
+        # a fixed point of e1 at a high label, which breaks e1 at its old
+        # partner 0x70 too, and a broken level-2 swap at a low label: the
+        # involutions scan meets e1 first, the symmetry scan label 0x03
+        table = checks._neighbor_table(D3)
+        table[0xF0][0] = 0xF0
+        table[0x03][1] = 0x04
+        results = by_name(check_label_invariants(D3, table))
+        assert results["label-involutions"].detail == "e1 is not an involution at 01110000"
+        assert results["label-degree-symmetry"].detail == (
+            "asymmetric edge 00000011 -- 00000100 at neighbor position 1"
+        )
 
 
 class TestDegreeSymmetryCalls:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +20,10 @@ from fdsc import (
     super_cut_probe,
     validate_family,
 )
-from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, star
+from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, Star, star
 from fdsc.graph import components_after_removal
-from fdsc.oracle import _members, _sweep, _SweepTable
-from refimpl import ref_candidates
+from fdsc.oracle import _candidate_keys, _Keys, _members, _sweep, _SweepTable
+from refimpl import ref_candidates, ref_table
 
 
 def _pairs(stars):
@@ -205,11 +206,43 @@ class TestExactValues:
             exact_structure_connectivity(fdsc2, 1, STRUCTURE, 0)
 
 
-def _table(g, cands, budget, use_modular=True):
+def _keys_of(stars):
+    """Keys for any stars, leaves adjacent to their center or not: each
+    center's row is the sorted union of its stars' leaves."""
+    rows = {}
+    for s in stars:
+        rows.setdefault(s.center, set()).update(s.leaves)
+    rows = {c: sorted(leaves) for c, leaves in rows.items()}
+    masks = [sum(1 << rows[s.center].index(u) for u in s.leaves) for s in stars]
+    return _Keys(array("I", [s.center for s in stars]), masks, rows)
+
+
+def _pick(keys, indices):
+    """The keys at ``indices``, on the same rows."""
+    return _Keys(
+        array("I", [keys.centers[k] for k in indices]), [keys.masks[k] for k in indices], keys.rows
+    )
+
+
+def _stars(keys):
+    return [keys.star(k) for k in range(len(keys))]
+
+
+def _table(g, keys, budget, use_modular=True, kappa=5):
     """The sweep table ``exact_structure_connectivity`` builds for these
-    candidates, with the checker ``SurvivorCheck`` picks and FDSC_8's
-    kappa, 5."""
-    return _SweepTable(cands, g, modcheck.SurvivorCheck(g, use_modular).checker, budget, 5)
+    candidate keys, with the checker ``SurvivorCheck`` picks and FDSC_8's
+    kappa, 5, by default; checked against ``ref_table`` on the same
+    candidates as ``Star`` objects."""
+    checker = modcheck.SurvivorCheck(g, use_modular).checker
+    table = _SweepTable(keys, g, checker, budget, kappa)
+    ref = ref_table(_stars(keys), g.dim, checker, budget, kappa)
+    assert [dict(fp) for fp in table.footprints] == ref.footprints
+    assert list(table.sizes) == ref.sizes
+    if ref.smaller is None:
+        assert table.checker is None
+    else:
+        assert (table.smaller, table.weak, table.touches) == (ref.smaller, ref.weak, ref.touches)
+    return table
 
 
 def _prefixes(footprints, t):
@@ -225,17 +258,34 @@ def _prefixes(footprints, t):
         yield prefix, merged, size, prefix[-1] + 1 if prefix else 0
 
 
+# the nine calls of the benchmark's ``oracle-table-n8`` workload, each with
+# the number of distinct footprint pairs its table derives reach masks for
+# (0 where every level is wholly pruned and the table keeps no checker),
+# 18,304 in all
+DISTINCT_PAIRS = {
+    (1, SUBSTRUCTURE, 2): 0,
+    (2, STRUCTURE, 2): 1792,
+    (3, STRUCTURE, 2): 2112,
+    (4, STRUCTURE, 2): 1344,
+    (2, SUBSTRUCTURE, 2): 1792,
+    (3, SUBSTRUCTURE, 2): 2624,
+    (4, SUBSTRUCTURE, 2): 2880,
+    (5, SUBSTRUCTURE, 2): 2880,
+    (5, SUBSTRUCTURE, 1): 2880,
+}
+
+
 class TestSweep:
     def test_matches_plain_route_t3(self, fdsc8):
         # the first 60 K_{1,1}-substructure candidates (vertices and edges
         # on centers 0..9): the checker route, the census-only route and a
         # set-union recount agree on the hit, examined and pruned
-        cands = enumerate_candidates(fdsc8, 1, SUBSTRUCTURE)[:60]
+        cands = _pick(_candidate_keys(fdsc8, 1, SUBSTRUCTURE), range(60))
         fast = _sweep(_table(fdsc8, cands, 3), 3, 5)
         plain = _sweep(_table(fdsc8, cands, 3, use_modular=False), 3, 5)
         small = sum(
             len(set().union(*(c.vertices for c in combo))) < 5
-            for combo in itertools.combinations(cands, 3)
+            for combo in itertools.combinations(_stars(cands), 3)
         )
         assert fast == plain == (None, math.comb(60, 3), small)
         assert 0 < small < math.comb(60, 3)
@@ -248,7 +298,8 @@ class TestSweep:
         # pruned, and so does the split on a table built for budget 3, whose
         # extra ``weak`` and ``touches`` rows no level below 3 reads, and on
         # one built for budget 10^5, whose ``weak`` rows stop at the module
-        # count.  A table whose levels are all pruned has no split
+        # count.  A table whose levels are all pruned has no split.  Every
+        # table matches ``ref_table`` (in ``_table``)
         pools, hits = {}, []
 
         @settings(max_examples=100, derandomize=True, deadline=None)
@@ -267,12 +318,12 @@ class TestSweep:
         @example(m=4, mode=STRUCTURE, t=3, around=110, first=1505, step=1, length=40)
         def agrees(m, mode, t, around, first, step, length):
             if (m, mode) not in pools:
-                pools[m, mode] = enumerate_candidates(fdsc8, m, mode)
-            pool = pools[m, mode]
+                pools[m, mode] = _candidate_keys(fdsc8, m, mode)
+            pool = range(len(pools[m, mode]))
             if around is not None:
                 ball = {around, *fdsc8.adj[around]}
-                pool = [c for c in pool if c.center in ball]
-            cands = pool[first % len(pool) :: step][:length]
+                pool = [k for k in pool if pools[m, mode].centers[k] in ball]
+            cands = _pick(pools[m, mode], pool[first % len(pool) :: step][:length])
             table, wide = _table(fdsc8, cands, t), _table(fdsc8, cands, 3)
             huge = _table(fdsc8, cands, 10**5)
             split_by = [x.split for x in (table, wide, huge) if x.checker is not None]
@@ -287,32 +338,60 @@ class TestSweep:
         agrees()
         assert any(hits)
 
-    # the nine calls of the benchmark's ``oracle-table-n8`` workload
-    @pytest.mark.parametrize(
-        "m,mode,budget",
-        [
-            (1, SUBSTRUCTURE, 2),
-            (2, STRUCTURE, 2),
-            (3, STRUCTURE, 2),
-            (4, STRUCTURE, 2),
-            (2, SUBSTRUCTURE, 2),
-            (3, SUBSTRUCTURE, 2),
-            (4, SUBSTRUCTURE, 2),
-            (5, SUBSTRUCTURE, 2),
-            (5, SUBSTRUCTURE, 1),
-        ],
-    )
+    @pytest.mark.parametrize("m,mode,budget", DISTINCT_PAIRS)
     def test_one_table_per_call(self, m, mode, budget, fdsc8, monkeypatch):
         builds = []
         real = _SweepTable.__init__
 
-        def counting(self, stars, g, checker, budget, kappa):
+        def counting(self, keys, g, checker, budget, kappa):
             builds.append(budget)
-            real(self, stars, g, checker, budget, kappa)
+            real(self, keys, g, checker, budget, kappa)
 
         monkeypatch.setattr(_SweepTable, "__init__", counting)
         exact_structure_connectivity(fdsc8, m, mode, budget)
         assert builds == [budget]
+
+    @pytest.mark.parametrize("m,mode,budget", DISTINCT_PAIRS)
+    def test_table_matches_star_reference(self, m, mode, budget, fdsc8, monkeypatch):
+        # the table built from the keys equals the one derived from the
+        # seen-set reference's stars, and calls ``reach`` once per distinct
+        # footprint pair: 18,304 over the nine calls, where one call per
+        # footprint pair of each star made 53,312
+        checker = modcheck.SurvivorCheck(fdsc8).checker
+        calls = []
+        real = modcheck.ModularChecker.reach
+
+        def counting(self, b, removed_mask):
+            calls.append((b, removed_mask))
+            return real(self, b, removed_mask)
+
+        monkeypatch.setattr(modcheck.ModularChecker, "reach", counting)
+        table = _SweepTable(_candidate_keys(fdsc8, m, mode), fdsc8, checker, budget, 5)
+        assert len(calls) == len(set(calls)) == DISTINCT_PAIRS[m, mode, budget]
+        monkeypatch.undo()
+        stars = [Star(center=c, leaves=leaves) for c, leaves in ref_candidates(fdsc8.adj, m, mode)]
+        ref = ref_table(stars, fdsc8.dim, checker, budget, 5)
+        assert [dict(fp) for fp in table.footprints] == ref.footprints
+        assert list(table.sizes) == ref.sizes
+        if ref.smaller is None:
+            assert table.checker is None
+        else:
+            assert (table.smaller, table.weak, table.touches) == (ref.smaller, ref.weak, ref.touches)
+
+    def test_stars_only_for_the_certificate(self, fdsc8, monkeypatch):
+        # the sweep reads keys; the two stars of the certificate are the
+        # only ``Star`` objects the call makes
+        made = []
+        real = Star.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Star, "__init__", counting)
+        result = exact_structure_connectivity(fdsc8, 5, SUBSTRUCTURE, 2)
+        assert (result.value, result.candidates) == (2, 6848)
+        assert made == result.certificate.elements
 
     @pytest.mark.slow
     def test_closed_neighborhoods_t3(self, fdsc8):
@@ -360,6 +439,7 @@ class TestSweep:
     def test_routes_without_checker(self, name, m, mode, budget, expected, request):
         g = request.getfixturevalue(name)
         assert modcheck.SurvivorCheck(g).checker is None
+        _table(g, _candidate_keys(g, m, mode), budget)  # matches ``ref_table``
         result = exact_structure_connectivity(g, m, mode, budget)
         certificate = [(s.center, sorted(s.leaves)) for s in result.certificate.elements]
         assert (
@@ -409,7 +489,8 @@ class TestBulkSplit:
         extension, on a table built for budget t and on one built for budget
         3; compare the sweep on both with the census-only route, and return
         the reasons met, by (prefix, extension)."""
-        table, wide = _table(fdsc8, cands, t), _table(fdsc8, cands, 3)
+        keys = _keys_of(cands)
+        table, wide = _table(fdsc8, keys, t), _table(fdsc8, keys, 3)
         checker, footprints = table.checker, table.footprints
         met = {}
         for prefix, merged, size, start in _prefixes(footprints, t):
@@ -424,7 +505,7 @@ class TestBulkSplit:
                 met[prefix, i] = reasons
         hit = _sweep(table, t, self.KAPPA)
         assert hit == _sweep(wide, t, self.KAPPA)
-        assert hit == _sweep(_table(fdsc8, cands, t, use_modular=False), t, self.KAPPA)
+        assert hit == _sweep(_table(fdsc8, keys, t, use_modular=False), t, self.KAPPA)
         return met, hit
 
     def test_shared_module(self, fdsc8):
