@@ -11,6 +11,7 @@ deterministic sample above that.
 ``run_all`` computes each label's ``neighbor_set`` once, into one positional
 table that the label checks and the module-decomposition proof read; its
 rows are then sorted in place into the graph the other graph checks use.
+Up to n = 16 the table's rows share one ``int`` object per label.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from .labels import (
     Dim,
     apex_pair,
     complement_address,
-    concat_halves,
     e1_neighbor,
     external_neighbor,
     f_neighbor,
     format_label,
     make_dim,
-    module_address,
     neighbor_set,
     swap_neighbor,
 )
@@ -110,10 +109,17 @@ def _modules_to_scan(dim: Dim) -> tuple[list[int], str]:
 def _neighbor_table(dim: Dim) -> list[list[int]] | dict[int, list[int]]:
     """``neighbor_set(u)`` of every scanned label, each computed once: a list
     over all labels up to n = 16, else a dict over the sample and the
-    neighbors of its labels."""
+    neighbors of its labels.
+
+    The full list's rows are exact-size and name each neighbor by the one
+    ``int`` that ``labels`` holds for it, so 2^n objects serve all
+    (d+2) 2^n entries (65,536 instead of 393,216 at n = 16).
+    """
     labels, _ = _labels_to_scan(dim)
     if dim.n <= MAX_BUILD_BITS:
-        return [neighbor_set(u, dim) for u in labels]
+        at = labels.__getitem__
+        # labels[v] is v; a tuple has a length, so the list is allocated exactly
+        return [list(tuple(map(at, neighbor_set(u, dim)))) for u in labels]
     table = {u: neighbor_set(u, dim) for u in labels}
     for v in {v for row in table.values() for v in row} - table.keys():
         table[v] = neighbor_set(v, dim)
@@ -234,7 +240,8 @@ def check_cross_edge_structure(dim: Dim, table=None) -> list[CheckResult]:
         return external_neighbor(u, dim) if table is None else table[u][dim.d]
 
     def per_module_targets():
-        inner_values, inner_full = _sample_values(1 << dim.half, 1 << min(dim.half, 8))
+        half, mask = dim.half, dim.module_mask
+        inner_values, inner_full = _sample_values(1 << half, 1 << min(half, 8))
         for b in modules:
             comp = complement_address(b, dim)
             apex_low, apex_high = apex_pair(b, dim)
@@ -242,13 +249,12 @@ def check_cross_edge_structure(dim: Dim, table=None) -> list[CheckResult]:
             ext_high = cross(apex_high)
             if ext_low == ext_high:
                 return FAIL, f"apex pair of module {b:#x} shares its cross endpoint"
-            if {module_address(ext_low, dim), module_address(ext_high, dim)} != {comp}:
+            if {ext_low & mask, ext_high & mask} != {comp}:
                 return FAIL, f"apex pair of module {b:#x} does not both reach the complement"
             targets: dict[int, list[int]] = {}
             for a in inner_values:
-                u = concat_halves(a, b, dim)
-                ext = cross(u)
-                tb = module_address(ext, dim)
+                u = (a << half) | b
+                tb = cross(u) & mask
                 if tb == b:
                     return FAIL, f"cross edge of {format_label(u, dim)} stays in its module"
                 targets.setdefault(tb, []).append(u)

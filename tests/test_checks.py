@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -460,3 +461,21 @@ class TestOneNeighborTable:
         report = run_all(make_dim(4))
         assert [c.name for c in report.checks] == list(CHECK_ORDER)
         assert by_name(report.checks)["module-decomposition"].elapsed_ms > 0
+
+
+class TestSharedLabels:
+    """The full-width table holds each row as ``neighbor_set(u)`` gives it,
+    in exact-size lists whose entries share one int object per label."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_are_neighbor_sets(self, d):
+        dim = make_dim(d)
+        table = checks._neighbor_table(dim)
+        assert len(table) == 1 << dim.n
+        assert all(row == neighbor_set(u, dim) for u, row in enumerate(table))
+
+    def test_one_int_per_label_at_d4(self):
+        # rows no larger than list() makes a list of known length
+        table = checks._neighbor_table(make_dim(4))
+        assert len({id(v) for row in table for v in row}) == 2**16
+        assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in table)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from fdsc import (
     vertex_connectivity,
 )
 from fdsc.graph import _min_vertex_cut_size, _split_network
+from fdsc.labels import neighbor_set
 from refimpl import all_labels, ref_neighbors
 
 D2, D3 = make_dim(2), make_dim(3)
@@ -48,6 +50,21 @@ class TestBuild:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             build_graph(make_dim(5))
+
+    @pytest.mark.parametrize("variant", [FDSC, DSC])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_are_sorted_neighbor_sets(self, d, variant):
+        dim = make_dim(d)
+        g = build_graph(dim, variant)
+        assert g.adj == [sorted(neighbor_set(u, dim, variant)) for u in range(1 << dim.n)]
+
+    @pytest.mark.parametrize("variant", [FDSC, DSC])
+    def test_one_int_per_label_at_n16(self, variant):
+        # 2^16 int objects for all (d+1) or (d+2) 2^16 entries, in rows no
+        # larger than list() makes a list of known length
+        adj = build_graph(make_dim(4), variant).adj
+        assert len({id(v) for row in adj for v in row}) == 2**16
+        assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in adj)
 
     def test_adjacency_well_formed(self, fdsc8):
         for u, nbrs in enumerate(fdsc8.adj):
