@@ -12,6 +12,11 @@ deterministic sample above that.
 table that the label checks and the module-decomposition proof read; its
 rows are then sorted in place into the graph the other graph checks use.
 Up to n = 16 the table's rows share one ``int`` object per label.
+
+The shared label pass, the module proof and the two neighborhood scans
+run through ``shard.scan_ranges``: at n = 16 they split into vertex chunks
+that the usable cores claim in turn, each chunk reports its first hit, and
+the lowest chunk's hit wins, so every report equals the serial scan's.
 """
 
 from __future__ import annotations
@@ -34,16 +39,14 @@ from .graph import (
 from .labels import (
     FDSC,
     Dim,
+    _swap,
     apex_pair,
     complement_address,
-    e1_neighbor,
-    external_neighbor,
-    f_neighbor,
     format_label,
     make_dim,
     neighbor_set,
-    swap_neighbor,
 )
+from .shard import scan_ranges
 
 PASS = "pass"
 FAIL = "fail"
@@ -51,6 +54,16 @@ SKIPPED = "skipped"
 
 _SAMPLE_SEED = 0
 _SAMPLE_COUNT = 256
+
+
+def _never(result) -> bool:
+    """A ``scan_ranges`` hit rule for a scan that never stops early."""
+    return False
+
+
+def _failed_at(result) -> bool:
+    """The hit rule for a (flag, first failing vertex or None) result."""
+    return result[1] is not None
 
 
 @dataclass
@@ -154,16 +167,10 @@ def check_label_invariants(dim: Dim, table=None) -> list[CheckResult]:
     # neighbor_set positions: swap level k >= 2 at k-1, level 1 (cross) at d
     swap_at = {k: k - 1 if k > 1 else dim.d for k in range(1, dim.d + 1)}
 
-    @functools.cache
-    def faults():
-        """One pass over the scanned labels for both checks below: per
-        position i, the first label whose map i fixes it or is not undone at
-        i (``table[table[u][i]][i] != u``), and the first label (with the
-        failing position, if any) whose row has the wrong degree, holds the
-        label itself, or is undone wrongly somewhere."""
+    def scan_faults(lo, hi):
         at_position: dict[int, int] = {}
         row_fault = None
-        for u in labels:
+        for u in labels[lo:hi]:
             nbrs = table[u]
             first = None
             for i, v in zip(range(expected_degree), nbrs):
@@ -175,6 +182,22 @@ def check_label_invariants(dim: Dim, table=None) -> list[CheckResult]:
                 first is not None or len(nbrs) != expected_degree or len(set(nbrs)) != len(nbrs)
             ):
                 row_fault = (u, first)
+        return at_position, row_fault
+
+    @functools.cache
+    def faults():
+        """One pass over the scanned labels for both checks below: per
+        position i, the first label whose map i fixes it or is not undone at
+        i (``table[table[u][i]][i] != u``), and the first label (with the
+        failing position, if any) whose row has the wrong degree, holds the
+        label itself, or is undone wrongly somewhere.  The pass never stops
+        early, so every chunk is scanned and the lowest chunk's finds win."""
+        at_position: dict[int, int] = {}
+        row_fault = None
+        for part, part_fault in scan_ranges(scan_faults, len(labels), hit=_never):
+            for i, u in part.items():
+                at_position.setdefault(i, u)
+            row_fault = row_fault or part_fault
         return at_position, row_fault
 
     def involutions():
@@ -237,7 +260,7 @@ def check_cross_edge_structure(dim: Dim, table=None) -> list[CheckResult]:
     modules, scope = _modules_to_scan(dim)
 
     def cross(u):
-        return external_neighbor(u, dim) if table is None else table[u][dim.d]
+        return _swap(u, dim.n, dim.half) if table is None else table[u][dim.d]
 
     def per_module_targets():
         half, mask = dim.half, dim.module_mask
@@ -348,42 +371,47 @@ def module_decomposition_violation(dim: Dim, table=None) -> str | None:
         {y: widen[i] for i, y in enumerate(neighbor_set(x, half_dim, FDSC))}
         for x in range(size)
     ]
-    for b in range(size):
-        targets = set()
-        stray = None
-        for x in range(size):
-            u = (x << half) | b
-            interior = {}
-            cross = []
-            for i, v in enumerate(table[u] if table is not None else neighbor_set(u, dim, FDSC)):
-                if v & mask == b:
-                    interior[v >> half] = i
-                else:
-                    cross.append(v)
-            if interior != copies[x]:
-                return (
-                    f"module {b:#x}: interior edges at {format_label(u, dim)} "
-                    f"do not match the half-width copy"
-                )
-            if len(cross) != 1:
-                return (
-                    f"module {b:#x}: vertex {format_label(u, dim)} has "
-                    f"{len(cross)} cross edges, expected exactly 1"
-                )
-            targets.add(cross[0] & mask)
-            partner = (b << half) | x if x != b else ((b ^ mask) << half) | (b ^ mask)
-            if cross[0] != partner and stray is None:
-                stray = (
-                    f"module {b:#x}: cross edge of {format_label(u, dim)} lands at "
-                    f"{format_label(cross[0], dim)}, not at its partner "
-                    f"{format_label(partner, dim)}"
-                )
-        # a missed module breaks the partner rule too; name the missed module
-        if len(targets) != size - 1:
-            return f"module {b:#x}: cross edges do not reach every other module"
-        if stray is not None:
-            return stray
-    return None
+
+    def first_violation(lo, hi):
+        for b in range(lo, hi):
+            targets = set()
+            stray = None
+            for x in range(size):
+                u = (x << half) | b
+                interior = {}
+                cross = []
+                for i, v in enumerate(table[u] if table is not None else neighbor_set(u, dim, FDSC)):
+                    if v & mask == b:
+                        interior[v >> half] = i
+                    else:
+                        cross.append(v)
+                if interior != copies[x]:
+                    return (
+                        f"module {b:#x}: interior edges at {format_label(u, dim)} "
+                        f"do not match the half-width copy"
+                    )
+                if len(cross) != 1:
+                    return (
+                        f"module {b:#x}: vertex {format_label(u, dim)} has "
+                        f"{len(cross)} cross edges, expected exactly 1"
+                    )
+                targets.add(cross[0] & mask)
+                partner = (b << half) | x if x != b else ((b ^ mask) << half) | (b ^ mask)
+                if cross[0] != partner and stray is None:
+                    stray = (
+                        f"module {b:#x}: cross edge of {format_label(u, dim)} lands at "
+                        f"{format_label(cross[0], dim)}, not at its partner "
+                        f"{format_label(partner, dim)}"
+                    )
+            # a missed module breaks the partner rule too; name the missed module
+            if len(targets) != size - 1:
+                return f"module {b:#x}: cross edges do not reach every other module"
+            if stray is not None:
+                return stray
+        return None
+
+    # a module is 2^(n/2) vertices of work
+    return scan_ranges(first_violation, size, weight=size)[-1]
 
 
 def _module_decomposition_check(dim: Dim, table=None) -> CheckResult:
@@ -475,40 +503,57 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
     The triangle is checked first with the fixed witness {u_1, u_top, u_f}
     (pairwise different in subsets of {s_1, s_2}); if that ever fails, all
     triples are searched before reporting, and the detail records which
-    branch ran."""
+    branch ran.  A triple counts only when it lies in N(u): a witness that
+    is a triangle elsewhere says nothing about N(u)."""
     if g.variant != FDSC or g.dim.d < 2:
         raise ParameterError("neighborhood structure needs fdsc with d >= 2")
     dim = g.dim
     adj = g.adj
 
-    def pairwise_common_bound():
-        for v, nbrs in enumerate(adj):
-            ends = sorted([w for x in nbrs for w in adj[x] if w != v])
+    def walk_ends(v):
+        return sorted([w for x in adj[v] for w in adj[x] if w != v])
+
+    def first_shared(lo, hi):
+        for v in range(lo, hi):
+            ends = walk_ends(v)
             # a w that ends three walks sits at some i and i + 2
             if any(map(operator.eq, ends, ends[2:])):
-                w = next(a for a, b in zip(ends, ends[2:]) if a == b)
-                common = sorted(set(nbrs) & set(adj[w]))
-                return FAIL, (
-                    f"neighbors {format_label(v, dim)}, {format_label(w, dim)} "
-                    f"of {format_label(common[0], dim)} share {len(common) - 1} others"
-                )
-        return PASS, "every neighbor pair shares at most one vertex besides the hub"
+                return v
+        return None
+
+    def pairwise_common_bound():
+        v = scan_ranges(first_shared, len(adj))[-1]
+        if v is None:
+            return PASS, "every neighbor pair shares at most one vertex besides the hub"
+        ends = walk_ends(v)
+        w = next(a for a, b in zip(ends, ends[2:]) if a == b)
+        common = sorted(set(adj[v]) & set(adj[w]))
+        return FAIL, (
+            f"neighbors {format_label(v, dim)}, {format_label(w, dim)} "
+            f"of {format_label(common[0], dim)} share {len(common) - 1} others"
+        )
 
     def _is_triangle_with_independent_rest(u: int, triple: tuple[int, int, int]) -> bool:
         p, q, r = triple
+        nbrs = adj[u]
+        if not (p in nbrs and q in nbrs and r in nbrs):
+            return False
         if not (p in adj[q] and q in adj[r] and p in adj[r]):
             return False
-        rest = [x for x in adj[u] if x not in triple]
+        rest = [x for x in nbrs if x not in triple]
         return all(y not in adj[x] for x, y in itertools.combinations(rest, 2))
 
-    def triangle_and_independent_rest():
+    n = dim.n
+    s1_bit, s2_bit, top_run = 1 << (n - 1), 1 << (n - 2), n >> dim.d
+
+    def first_without_triangle(lo, hi):
+        """(whether the fixed witness failed at some u in [lo, hi), the first
+        u there with no neighbor triangle whose removal leaves the rest
+        independent, or None)."""
         fallback_used = False
-        for u in range(g.vertex_count):
-            witness = (
-                e1_neighbor(u, dim),
-                swap_neighbor(u, dim.d, dim),
-                f_neighbor(u, dim),
-            )
+        for u in range(lo, hi):
+            # {u_1, u_top, u_f}: flip s_1, the level-d swap, flip s_2
+            witness = (u ^ s1_bit, _swap(u, n, top_run), u ^ s2_bit)
             if _is_triangle_with_independent_rest(u, witness):
                 continue
             fallback_used = True
@@ -517,13 +562,20 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
                 for triple in itertools.combinations(adj[u], 3)
             )
             if not found:
-                return FAIL, (
-                    f"no neighbor triangle with independent rest at "
-                    f"{format_label(u, dim)}"
-                )
+                return fallback_used, u
+        return fallback_used, None
+
+    def triangle_and_independent_rest():
+        parts = scan_ranges(first_without_triangle, g.vertex_count, hit=_failed_at)
+        _, u = parts[-1]
+        if u is not None:
+            return FAIL, (
+                f"no neighbor triangle with independent rest at "
+                f"{format_label(u, dim)}"
+            )
         branch = (
             "fixed witness failed somewhere, full triple search succeeded"
-            if fallback_used
+            if any(fallback_used for fallback_used, _ in parts)
             else "fixed witness {u_1, u_top, u_f} everywhere"
         )
         return PASS, branch

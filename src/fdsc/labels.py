@@ -21,6 +21,7 @@ Every one of these maps is a fixed-point-free involution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import LabelParseError, ParameterError
@@ -91,16 +92,27 @@ def swap_neighbor(u: VertexLabel, k: int, dim: Dim) -> VertexLabel:
 
 
 def _swap(u: VertexLabel, n: int, p: int) -> VertexLabel:
-    """The swap of the two leading p-bit runs of the n-bit label u."""
+    """The swap of the two leading p-bit runs of the n-bit label u.
+
+    The runs m1 (at shift n-p) and m2 (at n-2p) are XORed with m1 ^ m2,
+    which exchanges them, or, when that is 0, with the all-ones mask,
+    which complements both.
+    """
+    s1, s2 = n - p, n - 2 * p
     mask = (1 << p) - 1
-    m1 = (u >> (n - p)) & mask
-    m2 = (u >> (n - 2 * p)) & mask
-    m3 = u & ((1 << (n - 2 * p)) - 1)
-    if m1 == m2:
-        m1, m2 = m1 ^ mask, m2 ^ mask
-    else:
-        m1, m2 = m2, m1
-    return (m1 << (n - p)) | (m2 << (n - 2 * p)) | m3
+    return u ^ ((((u >> s1) ^ (u >> s2)) & mask or mask) * ((1 << s1) | (1 << s2)))
+
+
+@functools.cache
+def _swap_levels(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """``_swap``'s (s1, s2, mask, multiplier) at width n, in ``neighbor_set``
+    order: levels 2..d, then level 1."""
+    d = n.bit_length() - 1
+    out = []
+    for p in [n >> k for k in range(2, d + 1)] + [n >> 1]:
+        s1, s2 = n - p, n - 2 * p
+        out.append((s1, s2, (1 << p) - 1, (1 << s1) | (1 << s2)))
+    return tuple(out)
 
 
 def external_neighbor(u: VertexLabel, dim: Dim) -> VertexLabel:
@@ -120,12 +132,11 @@ def neighbor_set(u: VertexLabel, dim: Dim, variant: str = FDSC) -> list[VertexLa
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n = dim.n
-    out = [e1_neighbor(u, dim)]
-    for k in range(2, dim.d + 1):
-        out.append(_swap(u, n, n >> k))
-    out.append(_swap(u, n, n >> 1))
+    out = [u ^ (1 << (n - 1))]
+    for s1, s2, mask, mult in _swap_levels(n):
+        out.append(u ^ ((((u >> s1) ^ (u >> s2)) & mask or mask) * mult))
     if variant == FDSC:
-        out.append(f_neighbor(u, dim))
+        out.append(u ^ (1 << (n - 2)))
     return out
 
 

@@ -1,4 +1,6 @@
 import itertools
+import os
+import random
 import re
 import sys
 
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdsc.graph
-from fdsc import checks, exact_structure_connectivity, make_dim, parse_label, run_all
+from fdsc import checks, exact_structure_connectivity, make_dim, parse_label, run_all, shard
 from fdsc.checks import (
     FAIL,
     PASS,
@@ -375,6 +377,26 @@ class TestNeighborhoodFailures:
         assert result.status == FAIL
         assert result.detail == f"no neighbor triangle with independent rest at {format_label(u, D3)}"
 
+    def test_witness_outside_the_neighborhood_fails(self, fdsc8):
+        # 0 loses its witness {u_1, u_top, u_f}, which is still a triangle,
+        # and gains three far, mutually non-adjacent neighbors: N(0) has no
+        # edge, so no triangle lies in it
+        u = 0
+        witness = [e1_neighbor(u, D3), swap_neighbor(u, D3.d, D3), f_neighbor(u, D3)]
+        kept = [v for v in fdsc8.adj[u] if v not in witness]
+        far = []
+        for x in range(1, fdsc8.vertex_count):
+            if x not in fdsc8.adj[u] and not set(fdsc8.adj[x]) & {*kept, *far}:
+                far.append(x)
+            if len(far) == 3:
+                break
+        g = _edited(fdsc8, add=[(u, x) for x in far], drop=[(u, v) for v in witness])
+        rows = [set(g.adj[v]) for v in g.adj[u]]
+        assert not any(v in row for v, row in itertools.product(g.adj[u], rows))
+        result = by_name(check_neighborhood_structure(g))["neighbor-triangle-independent-rest"]
+        assert result.status == FAIL
+        assert result.detail == f"no neighbor triangle with independent rest at {format_label(u, D3)}"
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(0, 100),
@@ -479,3 +501,113 @@ class TestSharedLabels:
         table = checks._neighbor_table(make_dim(4))
         assert len({id(v) for row in table for v in row}) == 2**16
         assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in table)
+
+
+def _folded_fault(us, dim):
+    """A neighbor function whose folded neighbor of each u in ``us`` is
+    another vertex of u's module, on u's side of s_1."""
+    half, top = dim.half, 1 << (dim.n - 1)
+
+    def faulty(v, vdim, variant="fdsc"):
+        out = neighbor_set(v, vdim, variant)
+        if vdim == dim and v in us:
+            module = v & dim.module_mask
+            side = [(x << half) | module for x in range(1 << half) if ((x << half) ^ v) & top == 0]
+            out[dim.d + 1] = next(w for w in side if w not in out and w != v)
+        return out
+
+    return faulty
+
+
+class TestShardedScans:
+    """The label pass, the module proof and the two neighborhood scans split
+    into vertex chunks at n = 16.  Forced to split FDSC_8 across two workers
+    (32 chunks of 8 labels or vertices, 16 chunks of one module), with faults
+    in a low chunk, a high chunk or both, every report equals the serial
+    run's."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked during the test; none is left
+        unreaped after it."""
+        made = []
+        real = os.fork
+
+        def counted():
+            pid = real()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        yield made
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _split(monkeypatch):
+        monkeypatch.setattr(shard, "_MIN_SPLIT", 1)
+        monkeypatch.setattr(shard, "_usable_cores", lambda: 2)
+
+    @pytest.mark.parametrize(
+        "faulty,named",
+        [
+            ({0x12}, ("00010010", "module 0x2:")),
+            ({0xDA}, ("10011010", "module 0xa:")),
+            ({0x12, 0xDA}, ("00010010", "module 0x2:")),
+        ],
+    )
+    def test_run_all(self, faulty, named, monkeypatch, forks):
+        monkeypatch.setattr(checks, "neighbor_set", _folded_fault(faulty, D3))
+        serial = run_all(D3).to_json()
+        assert not forks
+        self._split(monkeypatch)
+        assert run_all(D3).to_json() == serial
+        assert len(forks) == 4  # labels, modules, common bound, triangles
+        results = {c["name"]: c for c in serial["checks"]}
+        assert results["label-involutions"]["detail"] == f"ef is not an involution at {named[0]}"
+        assert results["module-decomposition"]["detail"].startswith(named[1])
+
+    @pytest.mark.parametrize(
+        "edges,named",
+        [
+            ([(0x10, 0x41)], ("00000001", "00010000")),
+            ([(0x98, 0xC9)], ("10001001", "10011000")),
+            ([(0x10, 0x41), (0x98, 0xC9)], ("00000001", "00010000")),
+        ],
+    )
+    def test_neighborhood_scans(self, edges, named, fdsc8, monkeypatch, forks):
+        # each edge joins two neighbors of a vertex, outside its witness
+        g = _edited(fdsc8, add=edges)
+        serial = [(c.status, c.detail) for c in check_neighborhood_structure(g)]
+        self._split(monkeypatch)
+        assert [(c.status, c.detail) for c in check_neighborhood_structure(g)] == serial
+        assert len(forks) == 2
+        (_, common), (_, triangle) = serial
+        assert common.startswith(f"neighbors {named[0]}, ")
+        assert triangle == f"no neighbor triangle with independent rest at {named[1]}"
+
+    @pytest.mark.parametrize("shuffled", [0, 1])
+    def test_fixed_witness_fails_in_one_range_only(self, shuffled, fdsc8, monkeypatch, forks):
+        # two disjoint copies of FDSC_8 as vertices [0, 256) and [256, 512);
+        # one copy has its labels shuffled, so the fixed witness fails there
+        # and the full triple search succeeds
+        perm = list(range(256))
+        random.Random(5).shuffle(perm)
+        moved = [[] for _ in perm]
+        for v, row in enumerate(fdsc8.adj):
+            moved[perm[v]] = sorted(perm[w] for w in row)
+        low, high = (moved, fdsc8.adj) if shuffled == 0 else (fdsc8.adj, moved)
+        adj = low + [[w + 256 for w in row] for row in high]
+        g = Graph(dim=D3, variant="fdsc", adj=adj)
+        serial = [(c.status, c.detail) for c in check_neighborhood_structure(g)]
+        assert serial[1] == (PASS, "fixed witness failed somewhere, full triple search succeeded")
+        self._split(monkeypatch)
+        assert [(c.status, c.detail) for c in check_neighborhood_structure(g)] == serial
+        assert len(forks) == 2
+
+    def test_passing_reports(self, monkeypatch, forks):
+        serial = run_all(D3).to_json()
+        self._split(monkeypatch)
+        assert run_all(D3).to_json() == serial
+        assert serial["overall"] and len(forks) == 4

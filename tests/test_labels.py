@@ -136,6 +136,28 @@ class TestNeighborSet:
                     got = {format_label(v, dim) for v in neighbor_set(u, dim, variant)}
                     assert got == ref_neighbors(text, variant)
 
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_positions_match_reference_every_width(self, data):
+        # d = 1..6; a drawn level j > 0 copies m1 onto m2 at that level, so
+        # the complementing branch of the swap occurs at every width
+        dim = make_dim(data.draw(st.integers(1, 6)))
+        n, d = dim.n, dim.d
+        u = data.draw(st.integers(0, (1 << n) - 1))
+        j = data.draw(st.integers(0, d))
+        if j:
+            p = n >> j
+            run = (u >> (n - p)) & ((1 << p) - 1)
+            u = (u & ~(((1 << p) - 1) << (n - 2 * p))) | (run << (n - 2 * p))
+        text = format_label(u, dim)
+        want = [ref_e1(text), *(ref_swap(text, k) for k in range(2, d + 1)), ref_swap(text, 1)]
+        for variant, tail in ((FDSC, [ref_f(text)]), (DSC, [])):
+            got = [format_label(v, dim) for v in neighbor_set(u, dim, variant)]
+            assert got == want + tail
+            assert set(got) == ref_neighbors(text, variant)
+        for k in range(1, d + 1):
+            assert format_label(swap_neighbor(u, k, dim), dim) == ref_swap(text, k)
+
     def test_symmetry_with_matching_kinds(self):
         for dim in (D1, D2, D3):
             for u in range(1 << dim.n):
