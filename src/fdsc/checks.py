@@ -498,7 +498,7 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
     and share the other two.  The common neighbors of v and w are counted
     as the two-step walks from v that end at w, so each vertex needs one
     sorted list of its walk endpoints ((d+2)^2 in FDSC_n), and a failure
-    names the smallest common neighbor as the hub.
+    names the smallest middle of those walks as the hub.
 
     The triangle is checked first with the fixed witness {u_1, u_top, u_f}
     (pairwise different in subsets of {s_1, s_2}); if that ever fails, all
@@ -527,10 +527,12 @@ def check_neighborhood_structure(g: Graph) -> list[CheckResult]:
             return PASS, "every neighbor pair shares at most one vertex besides the hub"
         ends = walk_ends(v)
         w = next(a for a, b in zip(ends, ends[2:]) if a == b)
-        common = sorted(set(adj[v]) & set(adj[w]))
+        # one middle per walk counted above, so three or more on any rows;
+        # on a simple symmetric adjacency these are N(v) & N(w)
+        middles = sorted(x for x in adj[v] for y in adj[x] if y == w)
         return FAIL, (
             f"neighbors {format_label(v, dim)}, {format_label(w, dim)} "
-            f"of {format_label(common[0], dim)} share {len(common) - 1} others"
+            f"of {format_label(middles[0], dim)} share {len(middles) - 1} others"
         )
 
     def _is_triangle_with_independent_rest(u: int, triple: tuple[int, int, int]) -> bool:

@@ -6,7 +6,7 @@ the module decomposition instead: FDSC_n splits into 2^(n/2) modules, each
 an isomorphic copy of FDSC_(n/2), every vertex has exactly one cross edge,
 and every pair of modules is joined by at least one cross edge.
 
-For a removal S touching at most a few modules:
+For a removal S that leaves some module intact:
 
 * every module with no removed vertex ("intact") survives whole, and all
   intact modules form one connected core (each is internally connected and
@@ -14,16 +14,27 @@ For a removal S touching at most a few modules:
 * each touched module decomposes into components of (module - S), found
   by search inside a 2^(n/2)-vertex template and memoized by removed mask;
 * the cross edge of (x, b), with inner label x and module b, lands on its
-  partner (b, x), or on (~b, ~b) when x = b.  So a component of module b,
-  held as a mask M of inner labels, has its partners in the modules of its
-  *reach mask* R = (M & ~(1 << b)) | (bit b of M) << ~b (``reach``).  With
-  T the mask of touched modules, the component reaches the core iff
-  R & ~T is non-empty.  When fewer than all modules are touched and every
-  reach mask of every touched module meets ~T, the graph is connected;
-  otherwise the checker abstains.  It never answers "disconnected", so
-  every disconnecting set is found by the plain census.  The oracle's
-  sweep applies the same rule to whole sets of candidates at once, through
-  ``reach``, so the two cannot drift apart.
+  partner (b, x), or on (~b, ~b) when x = b (``ModularChecker.partner``).
+  So a component of module b, held as a mask M of inner labels, has its
+  partners in the modules of its *reach mask*
+  R = (M & ~(1 << b)) | (bit b of M) << ~b (``reach``).  With T the mask
+  of touched modules, the component is joined to the core iff R & ~T is
+  non-empty.  That is the fast test: when fewer than all modules are
+  touched and every component of every touched module passes it, the
+  graph is connected;
+* when some component fails it, the checker decides on the graph whose
+  nodes are the core and the touched modules' components, joined by
+  surviving partner edges: every edge between modules is a partner edge,
+  so the survivor graph is connected iff every component is joined to the
+  core through that graph.
+
+So whenever some module is intact the checker is exact: it answers True
+iff the survivor graph is connected.  It never answers "disconnected": it
+abstains (None) when every module is touched or the survivor graph is
+disconnected, and the plain census confirms every such case, so every
+disconnecting set is found by the census.  The oracle's sweep applies the
+fast test to whole sets of candidates at once, through ``reach``, so the
+two cannot drift apart.
 
 The facts this argument leans on are not assumed: the constructor proves
 them for the exact dimension in use and raises if any fails.  The module
@@ -47,7 +58,8 @@ is split twice; ``SurvivorCheck`` splits label lists for everyone else.
 ``SurvivorCheck`` is the one "is the survivor graph connected" entry point
 that the oracle's sweeps and probes call: it decides when the checker
 applies (FDSC_n with n >= 8) and falls back to a plain component census
-whenever the checker abstains.
+whenever the checker abstains, which confirms the disconnection or
+decides a query that touches every module.
 """
 
 from __future__ import annotations
@@ -130,10 +142,28 @@ class ModularChecker:
         )
         # removed-inner-mask -> components, each a mask of inner labels
         self._comp_cache: dict[int, tuple[int, ...]] = {}
+        # module b -> the bit of the module holding the partner of (b, b),
+        # the one vertex of module b whose partner does not lie in the
+        # module that its inner label names
+        self._apex_bit = [1 << self.partner(b, b)[1] for b in range(self.module_count)]
 
-    def _components(self, removed_mask: int) -> tuple[int, ...]:
+    def partner(self, x: int, b: int) -> tuple[int, int]:
+        """(inner label, module) of the cross-edge partner of vertex (x, b):
+        (b, x), or (~b, ~b) when x = b.  The constructor has proven this
+        rule for every vertex.  ``_linked`` calls it per vertex; ``reach``
+        and the fast test of ``connected`` read its apex case from
+        ``_apex_bit``, which the constructor builds from it."""
+        if x == b:
+            x = b ^ self.module_mask
+            return x, x
+        return b, x
+
+    def components(self, removed_mask: int) -> tuple[int, ...]:
         """Components of the template minus ``removed_mask``, as masks of
-        inner labels, added to the cache that ``connected`` reads."""
+        inner labels, from the cache or searched and added to it."""
+        comps = self._comp_cache.get(removed_mask)
+        if comps is not None:
+            return comps
         adj = self.template.adj
         left = ((1 << self.module_count) - 1) & ~removed_mask  # survivors not yet reached
         out = []
@@ -163,33 +193,85 @@ class ModularChecker:
         cache on each call, so it is bounded as that cache is."""
         comps = self._comp_cache.get(removed_mask)
         if comps is None:
-            comps = self._components(removed_mask)
+            comps = self.components(removed_mask)
         bit = 1 << b
-        for comp in comps:
+        for k, comp in enumerate(comps):
             if comp & bit:  # at most one component holds b
-                k = comps.index(comp)
-                return comps[:k] + (comp ^ bit | 1 << (b ^ self.module_mask),) + comps[k + 1 :]
+                return comps[:k] + (comp ^ bit | self._apex_bit[b],) + comps[k + 1 :]
         return comps
 
     def connected(self, touched: dict[int, int]) -> bool | None:
         """True or None, never False: True proves the graph minus the
         removed set connected, given as its ``footprint`` ``touched``
         (module -> mask of removed inner labels); None sends the caller to
-        the census.  With T the mask of touched modules, the proof holds
-        iff fewer than all modules are touched and every reach mask of
-        every touched module meets ~T.
+        the census.  With T the set of touched modules, the answer is exact
+        whenever T misses a module: True iff the survivor graph is
+        connected.  When every module is touched it is None.
+
+        Proof.  Let T miss a module.  Every untouched module survives whole
+        and is connected (the template is), and any two untouched modules
+        b, b' are joined by the partner edge (b', b) -- (b, b'), whose ends
+        both survive; so the untouched modules form one connected *core* of
+        at least 2^(n/2) vertices.  Every other survivor lies in a touched
+        module b, in one component of the template minus b's removed mask.
+        An edge inside a module stays inside one such component or inside
+        the core, and every edge between modules is a partner edge (the
+        constructor proves both facts).  So the survivor graph is connected
+        iff the graph on the core and these components, joined by surviving
+        partner edges, is connected.  A component C of module b holds, for each x in C, the
+        vertex (x, b) with partner (z, y) = ``partner(x, b)``: C is joined
+        to the core iff some such y is untouched, which is C's reach mask
+        meeting ~T, and otherwise to the component of module y holding z,
+        unless z is removed, which gives no edge.  The fast test asks only
+        whether every component is joined to the core directly; when one is
+        not, ``_linked`` searches that graph from the core.
         """
         if len(touched) >= self.module_count:
             return None
         tmask = 0
         for b in touched:
             tmask |= 1 << b
-        outside, reach = ~tmask, self.reach
+        outside, cache, apex = ~tmask, self._comp_cache, self._apex_bit
         for b, removed_mask in touched.items():
-            for r in reach(b, removed_mask):
-                if not r & outside:
-                    return None
+            comps = cache.get(removed_mask)
+            if comps is None:
+                comps = self.components(removed_mask)
+            # b itself is touched, so bit b of a component meets ~T only as
+            # the apex partner's module ~b, which it does iff ~b is untouched
+            out = outside | 1 << b if outside & apex[b] else outside
+            for comp in comps:
+                if not comp & out:
+                    return True if self._linked(touched, tmask) else None
         return True
+
+    def _linked(self, touched: dict[int, int], tmask: int) -> bool:
+        """Whether every component of every touched module is joined to the
+        core, directly or through other such components, by surviving
+        partner edges (``connected`` has the proof).  The components are
+        read into a local map first: the cache's soft cap may clear it
+        while a later module's components are searched."""
+        comps_of = {b: self.components(removed) for b, removed in touched.items()}
+
+        def partners(b, comp):
+            return [self.partner(x, b) for x in range(self.module_count) if comp >> x & 1]
+
+        joined = {
+            (b, comp)
+            for b, comps in comps_of.items()
+            for comp in comps
+            if any(not tmask >> y & 1 for _, y in partners(b, comp))
+        }
+        stack = list(joined)
+        while stack:
+            b, comp = stack.pop()
+            for z, y in partners(b, comp):
+                if tmask >> y & 1:
+                    # no component holds a removed z: that partner gives no edge
+                    other = next((c for c in comps_of[y] if c >> z & 1), None)
+                    if other is not None and (y, other) not in joined:
+                        joined.add((y, other))
+                        stack.append((y, other))
+        return len(joined) == sum(map(len, comps_of.values()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,10 +289,10 @@ class SurvivorCheck:
     (``modular_checker``).  ``connected(removed)`` is true iff at least two
     vertices survive and they form one component; ``removed`` may repeat
     vertices.  With ``use_modular`` (the default), the module-decomposition
-    checker proves connectivity where it applies (FDSC_n with n >= 8); the
-    plain component census answers everything else, every "disconnected"
-    included.  ``use_modular=False`` forces the plain route, the reference
-    the fast one is tested against.
+    checker decides connectivity where it applies (FDSC_n with n >= 8) and
+    some module is intact; the plain component census answers everything
+    else, every "disconnected" included.  ``use_modular=False`` forces the
+    plain route, the reference the fast one is tested against.
     """
 
     def __init__(self, g: Graph, use_modular: bool = True):

@@ -20,11 +20,15 @@ the result so a reviewer can audit the exhaustiveness argument:
   the same rule skips the level: if t times the largest element size is
   below the bound, every t-subset is counted examined and pruned without
   a visit;
-* connectivity of the survivor graph is proved by the module
+* connectivity of the survivor graph is decided by the module
   decomposition checker (``modcheck``), whose preconditions are verified
-  at construction.  The checker only proves connectivity, so any subset it
-  does not prove connected, and so every disconnecting subset, is found by
-  the plain component census.
+  at construction.  The checker never answers "disconnected": it abstains
+  only when every module is touched or the survivor graph is disconnected,
+  and the plain component census confirms every subset it abstains on.
+  So every disconnecting subset is found by the census, and where every
+  swept subset leaves a module intact (as in each budget-2 sweep of
+  FDSC_8, whose pairs hold at most 12 vertices in 16 modules), the census
+  runs only on the hit.
 
 Neither prune can skip a subset that actually disconnects, so certificates
 and exact values are identical to the unpruned search.
@@ -47,18 +51,19 @@ merged masks, and hands the merged footprint to the checker; the label
 list is built from the keys, only for the census.
 
 Most extensions of a prefix touch no module the prefix touches, and for
-those the checker's rule (``ModularChecker.connected``: fewer than all
-modules touched, and every component's reach mask meets an untouched
+those the checker's fast test (``ModularChecker.connected``: fewer than
+all modules touched, and every component's reach mask meets an untouched
 module) reads only facts about the prefix and about the extension alone.
 So the sweep settles them in bulk, with bit operations on candidate-index
 bitsets (``_SweepTable``): an extension is pruned when the two union sizes
 add up to less than the bound, and proven when neither a reach mask of the
 prefix nor one of the extension can fail.  Only the rest (overlapping
 extensions, those a prefix mask could fail on, and those with a weak reach
-of their own) go to the checker, one merged footprint at a time, and then
-to the census.  Every skipped subset is one that ``connected`` proves, so
-the first census hit, the certificate and the counts are those of asking
-the checker about every subset.
+of their own) go to the checker, one merged footprint at a time, which
+decides every one that leaves a module intact, and then to the census.
+Every skipped subset is one that ``connected`` proves, so the first census
+hit, the certificate and the counts are those of asking the checker about
+every subset.
 
 Faults have one vocabulary, the ``FaultFamily``: a vertex is a 0-leaf
 star and an edge a 1-leaf star, so a mix of vertex and edge removals is a
@@ -294,7 +299,8 @@ class _SweepTable:
             for p in spots:
                 b, bit = place[row[p]]
                 fp[b] = fp.get(b, 0) | bit
-            footprints.append(tuple(shared.setdefault(pair, pair) for pair in fp.items()))
+            pairs = fp.items()
+            footprints.append(tuple(map(shared.setdefault, pairs, pairs)))
             sizes.append(sum(inner.bit_count() for inner in fp.values()))
         self.footprints, self.sizes = footprints, bytes(sizes)
         self.checker = checker if budget * max(sizes, default=0) >= kappa else None
@@ -376,8 +382,9 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
     So each disjoint extension is pruned or proven by bit operations on
     whole candidate sets, unless a prefix mask fails on it or it is weak;
     those and every overlapping extension are slow, and the slow ones go,
-    in ascending order, through the per-subset route: union recount, the
-    checker with the merged footprint, then the census with the label list.
+    in ascending order, through the per-subset route: union recount and
+    merged footprint in one pass over the extension's pairs, the checker
+    with the merged footprint, then the census with the label list.
     No disconnecting subset is skipped, because every skipped subset is one
     that ``connected`` proves, and the first census hit is the same.  The
     counts stay exact: a hit at i has examined i - start + 1 extensions of
@@ -405,18 +412,16 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
             slow = _members(bits)
         slow_pruned = 0
         for i in slow:
-            union = size
+            union, touched = size, merged.copy()
             for b, inner in footprints[i]:
-                union += (inner & ~merged.get(b, 0)).bit_count()
+                held = touched.get(b, 0)
+                union += (inner & ~held).bit_count()
+                touched[b] = held | inner
             if union < kappa:
                 slow_pruned += 1
                 continue
-            if proves is not None:
-                touched = merged.copy()
-                for b, inner in footprints[i]:
-                    touched[b] = touched.get(b, 0) | inner
-                if proves(touched):
-                    continue
+            if proves is not None and proves(touched):
+                continue
             combo = (*prefix, i)
             removed = [v for k in combo for v in table.keys.vertices(k)]
             if components_after_removal(table.g, removed).disconnected:

@@ -359,6 +359,33 @@ class TestNeighborhoodFailures:
         assert _common_bound_violations(g.adj)[triple] == k
         assert triple == (hubs[0], v, w) and k == 2  # the smallest common neighbor is the hub
 
+    @pytest.mark.parametrize("rows", ["folded", "repeated"])
+    def test_detail_counts_the_walks_that_failed(self, rows, fdsc8, monkeypatch):
+        # rows that are not a simple symmetric adjacency: the failing walk
+        # count and the detail name the same walks.  "folded" is FDSC_8's
+        # table with the folded neighbor of 0x12 moved inside its module,
+        # where the set N(v) & N(w) held only two vertices; "repeated" lists
+        # one neighbor of 0 twice, toward a w that shares two neighbors
+        # with 0, so the repeat makes the third walk
+        if rows == "folded":
+            monkeypatch.setattr(checks, "neighbor_set", _folded_fault({0x12}, D3))
+            result = by_name(run_all(D3).checks)["neighbor-common-bound"]
+            adj = checks._neighbor_table(D3)
+            assert result.detail == "neighbors 01000010, 00000010 of 00010010 share 2 others"
+        else:
+            w = next(
+                w for w in range(1, 256) if len(set(fdsc8.adj[0]) & set(fdsc8.adj[w])) == 2
+            )
+            adj = [list(row) for row in fdsc8.adj]
+            adj[0].append(max(set(adj[0]) & set(adj[w])))
+            g = Graph(dim=D3, variant="fdsc", adj=adj)
+            result = by_name(check_neighborhood_structure(g))["neighbor-common-bound"]
+        assert result.status == FAIL
+        v, w, hub, others = _SHARE.fullmatch(result.detail).groups()
+        v, w, hub = (parse_label(x, D3) for x in (v, w, hub))
+        middles = sorted(x for x in adj[v] for y in adj[x] if y == w)
+        assert len(middles) == int(others) + 1 >= 3 and middles[0] == hub
+
     def test_broken_witness_triangle_fails(self, fdsc8):
         # the witness triangle of 0 is {u_1, u_top, u_f}; drop its u_1 -- u_f side
         u = 0

@@ -39,15 +39,41 @@ def proves(check, removed):
 
 
 def census_verdict(check, removed):
-    """The census verdict, after asserting the one-sided contract: the
-    checker answers True or None, never False; its True agrees with the
-    census; and ``SurvivorCheck`` returns the census verdict."""
+    """The census verdict, after asserting the checker's contract: it never
+    answers False; when every module is touched it answers None; otherwise
+    it answers True exactly where the census says connected, and None on
+    every disconnecting removal.  ``SurvivorCheck`` returns the census
+    verdict."""
     plain = plain_connected(check.g, removed)
     fast = proves(check, removed)
-    assert fast is True or fast is None, sorted(removed)
-    assert plain or fast is None, sorted(removed)
+    if len(footprint(removed, check.g.dim)) >= check.checker.module_count:
+        assert fast is None, sorted(removed)
+    else:
+        assert fast is (True if plain else None), sorted(removed)
     assert check.connected(removed) == plain, sorted(removed)
     return plain
+
+
+def closed_modules(mods, dim):
+    """Every vertex of the modules ``mods`` (all but the last) whose partner
+    lies outside ``mods``: no component left in those modules reaches an
+    untouched module by its own cross edges, so each passes only through
+    partner edges into the other touched modules."""
+    half, low = dim.half, dim.module_mask
+    return {
+        v
+        for b in mods[:-1]
+        for v in ((x << half) | b for x in range(1 << half))
+        if external_neighbor(v, dim) & low not in mods
+    }
+
+
+def fails_fast_test(checker, touched):
+    """Whether some component of a touched module has no partner in an
+    untouched module, so that ``connected`` must decide on the component
+    graph."""
+    tmask = sum(1 << b for b in touched)
+    return any(not r & ~tmask for b, inner in touched.items() for r in checker.reach(b, inner))
 
 
 class TestConstruction:
@@ -136,7 +162,7 @@ class TestAgainstPlainSearch:
             assert proves(survivor8, removed) is None
             assert census_verdict(survivor8, removed) is False
 
-    def test_concentrated_removals(self, checker8, fdsc8):
+    def test_concentrated_removals(self, survivor8):
         # stress in-module fragmentation: wipe most of one module plus extras
         rng = random.Random(99)
         for _ in range(300):
@@ -144,10 +170,7 @@ class TestAgainstPlainSearch:
             inner = rng.sample(range(16), rng.randint(8, 14))
             removed = [(x << 4) | base for x in inner]
             removed += rng.sample(range(256), rng.randint(0, 4))
-            fast = checker8.connected(footprint(set(removed), D3))
-            if fast is None:
-                continue
-            assert fast == plain_connected(fdsc8, set(removed)), removed
+            census_verdict(survivor8, removed)
 
     def test_adversarial_fragmentation(self, survivor8):
         # fragment a few modules heavily and knock out cross partners of
@@ -171,12 +194,15 @@ class TestAgainstPlainSearch:
 
     def test_apex_edge_is_the_only_link(self, survivor8):
         # module b keeps only (b, b), whose one cross edge is the apex edge to
-        # (~b, ~b); module ~b is touched, so the checker abstains and the
-        # census decides, either way
+        # (~b, ~b); module ~b is touched, so the fast test fails, and the
+        # checker follows the apex edge to the component of ~b that holds
+        # ~b, which reaches the core
         b = 0x3
         removed = {(x << 4) | b for x in range(16) if x != b} | {(0x0 << 4) | 0xC}
-        assert proves(survivor8, removed) is None
+        assert proves(survivor8, removed) is True
         assert census_verdict(survivor8, removed) is True
+        # with (~b, ~b) removed the apex edge is gone, (b, b) is cut off, and
+        # the checker abstains
         removed.add((0xC << 4) | 0xC)
         assert proves(survivor8, removed) is None
         assert census_verdict(survivor8, removed) is False
@@ -191,24 +217,70 @@ class TestAgainstPlainSearch:
 
     def test_slow_route(self, survivor8):
         # "closed" modules lose every vertex whose partner lies outside the
-        # touched modules, so no closed component passes the fast path and
-        # the census decides; one "open" module keeps a route to the intact
-        # core that the closed components may or may not reach
+        # touched modules, so no closed component passes the fast test; one
+        # "open" module keeps a route to the intact core that the closed
+        # components may or may not reach.  The checker decides on the
+        # component graph: True exactly where the census says connected
         rng = random.Random(77)
         verdicts = {True: 0, False: 0}
         for _ in range(1000):
             mods = rng.sample(range(16), rng.randint(3, 6))
-            closed, open_module = mods[:-1], mods[-1]
-            removed = {
-                v for v in range(256)
-                if v & 15 in closed and external_neighbor(v, D3) & 15 not in mods
-            }
+            removed = closed_modules(mods, D3)
             removed |= {v for v in range(256) if v & 15 in mods and rng.random() < 0.1}
-            removed |= {(x << 4) | open_module for x in rng.sample(range(16), 3)}
-            assert any(v not in removed for v in range(256) if v & 15 in closed)
-            assert proves(survivor8, removed) is None
+            removed |= {(x << 4) | mods[-1] for x in rng.sample(range(16), 3)}
+            assert fails_fast_test(survivor8.checker, footprint(removed, D3))
             verdicts[census_verdict(survivor8, removed)] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_matches_census_on_module_removals_n8(self, survivor8):
+        """Removals drawn per module: a set of touched modules, all 16
+        included, and a mask of removed inner labels for each, dense or
+        sparse, sometimes after the closed-module construction of
+        ``test_slow_route``.  ``connected`` is None when every module is
+        touched and otherwise True exactly where the census says
+        connected; both verdicts occur on queries that fail the fast
+        test."""
+        masks = st.one_of(
+            st.integers(0, 0xFFFF),
+            st.lists(st.integers(0, 15), max_size=3).map(lambda xs: sum(1 << x for x in xs)),
+        )
+        linked = {True: 0, False: 0}
+
+        @st.composite
+        def module_removals(draw):
+            mods = draw(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True))
+            removed = closed_modules(mods, D3) if draw(st.booleans()) else set()
+            for b in mods:
+                mask = draw(masks)
+                removed.update((x << 4) | b for x in range(16) if mask >> x & 1)
+            return removed
+
+        @settings(max_examples=400, derandomize=True, deadline=None)
+        @given(module_removals())
+        def agrees(removed):
+            plain = census_verdict(survivor8, removed)
+            touched = footprint(removed, D3)
+            if len(touched) < 16 and fails_fast_test(survivor8.checker, touched):
+                linked[plain] += 1
+
+        agrees()
+        assert linked[True] > 0 and linked[False] > 0
+
+    def test_closed_modules_n16(self, fdsc16):
+        # the closed-module construction at n = 16: a closed module keeps
+        # only the vertices whose partners lie in the touched modules, so
+        # the fast test fails, and the component graph decides both ways
+        check = SurvivorCheck(fdsc16)
+        dim = fdsc16.dim
+        rng = random.Random(16)
+        verdicts = {True: 0, False: 0}
+        for _ in range(12):
+            mods = rng.sample(range(256), rng.randint(2, 4))
+            removed = closed_modules(mods, dim)
+            removed |= {(x << 8) | b for b in mods for x in rng.sample(range(256), 3)}
+            assert fails_fast_test(check.checker, footprint(removed, dim))
+            verdicts[census_verdict(check, removed)] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
 
     def test_spot_checks_n16(self, fdsc16):
         check = SurvivorCheck(fdsc16)
@@ -240,10 +312,21 @@ class TestAgainstPlainSearch:
 def test_capped_cache_gives_the_same_answers(checker8, monkeypatch):
     # with the component cache cleared every few entries, reach masks and
     # verdicts are those of the shared checker, whose cache never fills at
-    # n = 8
+    # n = 8; the closed-module queries fail the fast test and touch up to
+    # six modules, so the cache is cleared while one query is decided on
+    # its component graph
     rng = random.Random(8)
     queries = [footprint(rng.sample(range(256), rng.randint(0, 12)), D3) for _ in range(300)]
+    linked = []
+    for _ in range(300):
+        mods = rng.sample(range(16), rng.randint(3, 6))
+        removed = closed_modules(mods, D3)
+        removed |= {v for v in range(256) if v & 15 in mods and rng.random() < 0.1}
+        if fails_fast_test(checker8, footprint(removed, D3)):
+            linked.append(footprint(removed, D3))
+    queries += linked
     expected = [checker8.connected(q) for q in queries]
+    assert expected[300:].count(True) > 50 and expected[300:].count(None) > 50
     monkeypatch.setattr(modcheck, "_CACHE_SOFT_CAP", 3)
     capped = ModularChecker(D3)
     assert [capped.connected(q) for q in queries] == expected

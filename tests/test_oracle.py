@@ -378,6 +378,27 @@ class TestSweep:
         else:
             assert (table.smaller, table.weak, table.touches) == (ref.smaller, ref.weak, ref.touches)
 
+    def test_census_once_per_certificate(self, fdsc8, monkeypatch):
+        # no subset of the nine calls touches every module, so the checker
+        # decides each one exactly, and the sweep runs the census only on
+        # the hit: one call per certificate, 7 in all (``apply_cut``'s
+        # re-check of the certificate is not the sweep's)
+        calls = []
+        real = components_after_removal
+
+        def counting(g, removed):
+            calls.append(sorted(removed))
+            return real(g, removed)
+
+        monkeypatch.setattr("fdsc.oracle.components_after_removal", counting)
+        hits = 0
+        for m, mode, budget in DISTINCT_PAIRS:
+            before = len(calls)
+            result = exact_structure_connectivity(fdsc8, m, mode, budget)
+            hits += result.value is not None
+            assert len(calls) - before == (result.value is not None), (m, mode, budget)
+        assert hits == len(calls) == 7
+
     def test_stars_only_for_the_certificate(self, fdsc8, monkeypatch):
         # the sweep reads keys; the two stars of the certificate are the
         # only ``Star`` objects the call makes
