@@ -52,8 +52,10 @@ exposes it as ``kappa_lower_bound``.
 
 A query is a *footprint* (``footprint``): the removed set split once into
 its modules, each with the mask of its removed inner labels.  The sweeps
-compute one footprint per candidate and merge them per subset, so no label
-is split twice; ``SurvivorCheck`` splits label lists for everyone else.
+split a candidate's labels only when they first read its footprint, and
+merge footprints per subset, so no label is split twice; their table's
+bulk facts come from ``components`` and ``reach`` per removed inner mask.
+``SurvivorCheck`` splits label lists for everyone else.
 
 ``SurvivorCheck`` is the one "is the survivor graph connected" entry point
 that the oracle's sweeps and probes call: it decides when the checker

@@ -43,12 +43,14 @@ materializes the same keys, and for the certificate.
 
 The sweep engine is a ``_SweepTable``, built once per call from the keys,
 and ``_sweep``, a stateless function of the table, the family size and a
-kappa bound.  The table holds each candidate's footprint (its vertex set
-split into (module, inner mask) pairs, as ``modcheck.footprint`` splits
-it), size and bulk bitsets.  The sweep merges the footprints of each
-(t-1)-prefix once, reads a subset's union size as the popcount sum of the
-merged masks, and hands the merged footprint to the checker; the label
-list is built from the keys, only for the census.
+kappa bound.  The table's columns (sizes and bulk bitsets) are computed run
+by run of equal centers, from facts about each center's row, with no
+per-candidate object; a candidate's footprint (its vertex set split into
+(module, inner mask) pairs, as ``modcheck.footprint`` splits it) is derived
+from its key when the sweep first reads it, and kept.  The sweep merges
+the footprints of each (t-1)-prefix once, reads a subset's union size as
+the popcount sum of the merged masks, and hands the merged footprint to the
+checker; the label list is built from the keys, only for the census.
 
 Most extensions of a prefix touch no module the prefix touches, and for
 those the checker's fast test (``ModularChecker.connected``: fewer than
@@ -99,7 +101,7 @@ from .cuts import (
 from .errors import ParameterError
 from .graph import Graph, components_after_removal, vertex_connectivity
 from .labels import FDSC, Dim
-from .modcheck import SurvivorCheck, footprint
+from .modcheck import SurvivorCheck
 
 GENERATOR_ID = "python-random-mt19937"
 
@@ -240,13 +242,16 @@ class OracleResult:
         }
 
 
+def _bitset(digits) -> int:
+    """The bitset whose bit k is set iff ``digits[k]`` is ``ord("1")``, every
+    other entry being ``ord("0")``."""
+    return int(digits[::-1], 2) if digits else 0
+
+
 def _bits_below(values: bytes, bound: int) -> int:
     """Bitset of the positions k with ``values[k] < bound`` (bit k for
     position k)."""
-    if not values:
-        return 0
-    table = bytes(0x31 if v < bound else 0x30 for v in range(256))
-    return int(values.translate(table)[::-1], 2)
+    return _bitset(values.translate(bytes(0x31 if v < bound else 0x30 for v in range(256))))
 
 
 def _members(bits: int):
@@ -258,75 +263,172 @@ def _members(bits: int):
         i = digits.find("1", i + 1)
 
 
+def _runs(centers):
+    """(center, lo, hi) for each run of equal centers: keys lo..hi-1 share
+    ``center``.  Keys need not be ordered, so a center may head several
+    runs."""
+    lo = 0
+    for center, run in itertools.groupby(centers):
+        hi = lo + len(list(run))
+        yield center, lo, hi
+        lo = hi
+
+
+class _Positions(dict):
+    """Leaf mask -> the tuple of its set bits, ascending, made on the first
+    read."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        got = self[mask] = tuple(_members(mask))
+        return got
+
+
 class _SweepTable:
     """What ``_sweep`` reads about the candidates ``keys``, derived once per
     ``exact_structure_connectivity`` call for every family size up to
-    ``budget`` and the bound ``kappa``: each candidate's footprint as a
-    tuple of (module, inner mask) pairs, merged from the (module, inner bit)
-    pair of its center and of each leaf position in its mask, equal pairs
-    stored once (the 6,848 K_{1,5}-substructure stars of FDSC_8 hold 10,816
-    pairs, of which 2,880 are distinct), its size, and, with a ``checker``,
-    candidate-index bitsets (bit k for candidate k) that settle a prefix's
-    module-disjoint extensions in bulk.  The checker is dropped, and no
-    bitset built, when every level up to ``budget`` is wholly pruned.  The
-    table holds no ``Star``: the census reads its labels from the keys
-    (``_Keys.vertices``), and only the certificate's stars are made.
+    ``budget`` and the bound ``kappa``, as columns over the candidate
+    indices computed run by run of equal centers: each candidate's size
+    and, with a ``checker``, candidate-index bitsets (bit k for candidate
+    k) that settle a prefix's module-disjoint extensions in bulk.  The
+    checker is dropped, and no bitset built, when every level up to
+    ``budget`` is wholly pruned.  A candidate's footprint, its vertex set
+    split into (module, inner mask) pairs as ``modcheck.footprint`` splits
+    it, is derived from its key when the sweep first reads it
+    (``footprint``) and kept: the nine ``oracle-table-n8`` calls read 5,076
+    of their 35,136 candidates' footprints, and a call whose levels are
+    wholly pruned, or that needs one level and proves it in bulk, reads
+    none.  The table holds no ``Star``: the census reads its labels from
+    the keys (``_Keys.vertices``), and only the certificate's stars are
+    made.
 
-    For candidate i with module set T_i: ``smaller[s]`` holds the
-    candidates with fewer than s vertices, ``weak[w]`` those whose weakest
-    reach min |R & ~T_i|, over the reach masks R of their own components,
-    is at most w, and ``touches[b]`` those that touch module b.  A
-    candidate with no component left counts as weakest reach 0.  The reach
-    masks come from one ``reach`` call per distinct pair.  A prefix's
-    module set T_P has at most min((budget - 1) * max|T_i|, M) modules, so
-    no ``weak`` table past that is built, and ``touches`` only when
-    budget > 1.
+    A key's size is 1 + the popcount of its leaf mask, because its row
+    holds neither its center nor a repeated entry; the table checks that
+    once per run and raises otherwise.  For candidate i with module set
+    T_i: ``smaller[s]`` holds the candidates with fewer than s vertices,
+    ``touches[b]`` those that touch module b (every run of a center in
+    module b, and every candidate whose mask meets a row position in
+    module b), and ``weak[w]`` those whose weakest reach min |R & ~T_i|,
+    over the reach masks R of their own components, is at most w.  A
+    candidate with no component left counts as weakest reach 0.  A
+    prefix's module set T_P has at most min((budget - 1) * max|T_i|, M)
+    modules, so no ``weak`` row past that cap is built, and ``touches``
+    only when budget > 1.
+
+    Only candidates with a small component get their weakest reach
+    computed, from their footprint and one ``reach`` call per pair.  A
+    component M of module b has the reach mask
+    R = (M & ~(1 << b)) | (bit ~b, if b is in M), so R lacks b and
+    |R| >= |M| - 1; since b is in T_i, |R & ~T_i| >= |R| - (|T_i| - 1)
+    >= |M| - |T_i|.  So a candidate each of whose components has more than
+    ``weak_cap`` + |T_i| labels is in no ``weak`` row.  The smallest
+    component per removed inner mask is read from ``checker.components``
+    once per distinct mask, into a dict that lives for the build.
     """
 
     def __init__(self, keys: _Keys, g: Graph, checker, budget: int, kappa: int):
         self.keys, self.g = keys, g
-        place = [footprint((v,), g.dim).popitem() for v in range(g.vertex_count)]
-        positions: dict[int, tuple[int, ...]] = {}  # leaf mask -> its set bits
-        # each distinct pair -> itself, then -> its reach masks once a checker is kept
-        shared: dict[tuple[int, int], tuple[int, ...]] = {}
-        footprints, sizes = [], bytearray()
-        for center, mask in zip(keys.centers, keys.masks):
+        self._footprints: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._positions = _Positions()
+        runs = list(_runs(keys.centers))
+        for center, _, _ in runs:
             row = keys.rows[center]
-            spots = positions.get(mask)
-            if spots is None:
-                spots = positions[mask] = tuple(_members(mask))
-            fp = dict((place[center],))
-            for p in spots:
-                b, bit = place[row[p]]
-                fp[b] = fp.get(b, 0) | bit
-            pairs = fp.items()
-            footprints.append(tuple(map(shared.setdefault, pairs, pairs)))
-            sizes.append(sum(inner.bit_count() for inner in fp.values()))
-        self.footprints, self.sizes = footprints, bytes(sizes)
+            if center in row or len(set(row)) < len(row):
+                raise ValueError(f"the row of center {center} holds it or repeats an entry")
+        self.sizes = sizes = bytes(map((1).__add__, map(int.bit_count, keys.masks)))
         self.checker = checker if budget * max(sizes, default=0) >= kappa else None
         if self.checker is None:
             return
-        count = len(footprints)
-        self.reach = reach = checker.reach
-        for pair in shared:
-            shared[pair] = reach(*pair)
+        count, masks = len(keys), keys.masks
+        half, module_mask = g.dim.half, g.dim.module_mask
+        modules, components, touching = checker.module_count, checker.components, budget > 1
+        positions = self._positions
+        least: dict[int, int] = {}  # removed inner mask -> its smallest component, 0 with none
+        spans: dict[int, list[tuple[int, int]]] = {}  # module -> runs of centers in it
+        points: dict[int, list[int]] = {}  # module -> candidates with a leaf in it, if budget > 1
+        # per candidate: its smallest component - |T_i|, or 0 if that is
+        # negative; a byte, as a module has 2^(n/2) <= 256 labels for every n
+        # whose graph can be built
+        margin = bytearray()
+        widest = 0
+        for center, lo, hi in runs:
+            row = keys.rows[center]
+            home = center & module_mask
+            inner_at = [1 << (v >> half) for v in row]
+            away: dict[int, int] = {}  # module -> the row's positions in it
+            for p, v in enumerate(row):
+                away[v & module_mask] = away.get(v & module_mask, 0) | 1 << p
+            # (module, its row positions, its inner labels every candidate
+            # removes): the center's module, holding the center, then the rest
+            parts = [(home, away.pop(home, 0), 1 << (center >> half))]
+            parts += [(b, at, 0) for b, at in away.items()]
+            spans.setdefault(home, []).append((lo, hi))
+            for k in range(lo, hi):
+                # every component has fewer labels than the module count
+                mask, width, smallest = masks[k], 0, modules
+                for b, at, inner in parts:
+                    if mask & at or inner:  # a pair of candidate k's footprint
+                        for p in positions[mask & at]:
+                            inner |= inner_at[p]
+                        size = least.get(inner)
+                        if size is None:
+                            size = least[inner] = min(map(int.bit_count, components(inner)), default=0)
+                        if size < smallest:
+                            smallest = size
+                        width += 1
+                        if touching and b != home:
+                            points.setdefault(b, []).append(k)
+                if width > widest:
+                    widest = width
+                margin.append(smallest - width if smallest > width else 0)
         self.full = (1 << count) - 1
-        self.widest = max(map(len, footprints), default=0)
-        modules = checker.module_count
-        weak_cap = min((budget - 1) * self.widest, modules)
-        rows = [bytearray((count + 7) >> 3) for _ in range(modules)] if budget > 1 else []
-        weakest = bytearray()  # capped at weak_cap + 1, which no table reads
-        for k, fp in enumerate(footprints):
+        self.widest = widest
+        self.reach = reach = checker.reach
+        weak_cap = min((budget - 1) * widest, modules)
+        weak_at: list[list[int]] = [[] for _ in range(weak_cap + 1)]
+        for k in _members(_bits_below(margin, weak_cap + 1)):
+            fp = self._derive(k)
             outside = -1
             for b, _ in fp:
                 outside ^= 1 << b
-                if rows:
-                    rows[b][k >> 3] |= 1 << (k & 7)
-            counts = [(r & outside).bit_count() for pair in fp for r in shared[pair]]
-            weakest.append(min(min(counts), weak_cap + 1) if counts else 0)
-        self.smaller = [_bits_below(self.sizes, s) for s in range(max(sizes, default=0) + 2)]
-        self.weak = [_bits_below(weakest, w + 1) for w in range(weak_cap + 1)]
-        self.touches = [int.from_bytes(row, "little") for row in rows]
+            counts = [(r & outside).bit_count() for b, inner in fp for r in reach(b, inner)]
+            weakest = min(counts, default=0)
+            if weakest <= weak_cap:
+                weak_at[weakest].append(k)
+        digits = bytearray(b"0") * count
+        self.weak = []
+        for ks in weak_at:
+            for k in ks:
+                digits[k] = 0x31
+            self.weak.append(_bitset(digits))
+        self.smaller = [_bits_below(sizes, s) for s in range(max(sizes, default=0) + 2)]
+        self.touches = []
+        for b in range(modules if touching else 0):
+            digits = bytearray(b"0") * count
+            for lo, hi in spans.get(b, ()):
+                digits[lo:hi] = b"1" * (hi - lo)
+            for k in points.get(b, ()):
+                digits[k] = 0x31
+            self.touches.append(_bitset(digits))
+
+    def _derive(self, k: int) -> tuple[tuple[int, int], ...]:
+        """Candidate k's (module, inner mask) pairs, split from its key as
+        ``modcheck.footprint`` splits labels: the center's pair first, then
+        each further module in the order of the row."""
+        keys, half, module_mask = self.keys, self.g.dim.half, self.g.dim.module_mask
+        center = keys.centers[k]
+        row = keys.rows[center]
+        fp = {center & module_mask: 1 << (center >> half)}
+        for p in self._positions[keys.masks[k]]:
+            v = row[p]
+            fp[v & module_mask] = fp.get(v & module_mask, 0) | 1 << (v >> half)
+        return tuple(fp.items())
+
+    def footprint(self, k: int) -> tuple[tuple[int, int], ...]:
+        """Candidate k's footprint, derived on the first read and kept."""
+        fp = self._footprints.get(k)
+        if fp is None:
+            fp = self._footprints[k] = self._derive(k)
+        return fp
 
     def split(self, merged: dict[int, int], size: int, start: int, kappa: int):
         """(pruned, slow): the bitsets of the candidates in [start, count)
@@ -391,8 +493,8 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
     its prefix, and pruned the slow prunes plus the bulk prunes below i.
     Without a checker every extension is slow.
     """
-    footprints = table.footprints
-    count = len(footprints)
+    footprint = table.footprint
+    count = len(table.keys)
     if t * max(table.sizes, default=0) < kappa:
         total = math.comb(count, t)
         return None, total, total
@@ -401,7 +503,7 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
     for prefix in itertools.combinations(range(count), t - 1):
         merged: dict[int, int] = {}
         for k in prefix:
-            for b, inner in footprints[k]:
+            for b, inner in footprint(k):
                 merged[b] = merged.get(b, 0) | inner
         size = sum(inner.bit_count() for inner in merged.values())
         start = prefix[-1] + 1 if prefix else 0
@@ -413,7 +515,7 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
         slow_pruned = 0
         for i in slow:
             union, touched = size, merged.copy()
-            for b, inner in footprints[i]:
+            for b, inner in footprint(i):
                 held = touched.get(b, 0)
                 union += (inner & ~held).bit_count()
                 touched[b] = held | inner

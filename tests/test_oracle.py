@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from array import array
 
 import pytest
@@ -235,14 +239,24 @@ def _table(g, keys, budget, use_modular=True, kappa=5):
     candidates as ``Star`` objects."""
     checker = modcheck.SurvivorCheck(g, use_modular).checker
     table = _SweepTable(keys, g, checker, budget, kappa)
-    ref = ref_table(_stars(keys), g.dim, checker, budget, kappa)
-    assert [dict(fp) for fp in table.footprints] == ref.footprints
+    _matches_reference(table, ref_table(_stars(keys), g.dim, checker, budget, kappa))
+    return table
+
+
+def _footprints(table):
+    """Every candidate's footprint, as ``_SweepTable.footprint`` reads it."""
+    return [table.footprint(k) for k in range(len(table.keys))]
+
+
+def _matches_reference(table, ref):
+    """The table holds what ``ref_table`` derives: every footprint, the
+    sizes and, where the table keeps its checker, every bitset."""
+    assert [dict(fp) for fp in _footprints(table)] == ref.footprints
     assert list(table.sizes) == ref.sizes
     if ref.smaller is None:
         assert table.checker is None
     else:
         assert (table.smaller, table.weak, table.touches) == (ref.smaller, ref.weak, ref.touches)
-    return table
 
 
 def _prefixes(footprints, t):
@@ -259,19 +273,20 @@ def _prefixes(footprints, t):
 
 
 # the nine calls of the benchmark's ``oracle-table-n8`` workload, each with
-# the number of distinct footprint pairs its table derives reach masks for
-# (0 where every level is wholly pruned and the table keeps no checker),
-# 18,304 in all
-DISTINCT_PAIRS = {
-    (1, SUBSTRUCTURE, 2): 0,
-    (2, STRUCTURE, 2): 1792,
-    (3, STRUCTURE, 2): 2112,
-    (4, STRUCTURE, 2): 1344,
-    (2, SUBSTRUCTURE, 2): 1792,
-    (3, SUBSTRUCTURE, 2): 2624,
-    (4, SUBSTRUCTURE, 2): 2880,
-    (5, SUBSTRUCTURE, 2): 2880,
-    (5, SUBSTRUCTURE, 1): 2880,
+# the number of ``components`` calls its table build makes, one per distinct
+# removed inner mask (0 where every level is wholly pruned and the table
+# keeps no checker), 1,144 in all, and the number of candidates whose
+# footprint its sweep reads, 5,076 of 35,136 in all
+TABLE_CALLS = {
+    (1, SUBSTRUCTURE, 2): (0, 0),
+    (2, STRUCTURE, 2): (112, 368),
+    (3, STRUCTURE, 2): (132, 464),
+    (4, STRUCTURE, 2): (84, 272),
+    (2, SUBSTRUCTURE, 2): (112, 494),
+    (3, SUBSTRUCTURE, 2): (164, 958),
+    (4, SUBSTRUCTURE, 2): (180, 1230),
+    (5, SUBSTRUCTURE, 2): (180, 1290),
+    (5, SUBSTRUCTURE, 1): (180, 0),
 }
 
 
@@ -329,7 +344,7 @@ class TestSweep:
             split_by = [x.split for x in (table, wide, huge) if x.checker is not None]
             if huge.checker is not None:
                 assert len(huge.weak) <= huge.checker.module_count + 1
-            for _, merged, size, start in _prefixes(table.footprints, t):
+            for _, merged, size, start in _prefixes(_footprints(table), t):
                 assert len({split(merged, size, start, 5) for split in split_by}) <= 1
             result = _sweep(_table(fdsc8, cands, t, use_modular=False), t, 5)
             assert _sweep(table, t, 5) == _sweep(wide, t, 5) == _sweep(huge, t, 5) == result
@@ -338,7 +353,7 @@ class TestSweep:
         agrees()
         assert any(hits)
 
-    @pytest.mark.parametrize("m,mode,budget", DISTINCT_PAIRS)
+    @pytest.mark.parametrize("m,mode,budget", TABLE_CALLS)
     def test_one_table_per_call(self, m, mode, budget, fdsc8, monkeypatch):
         builds = []
         real = _SweepTable.__init__
@@ -351,32 +366,29 @@ class TestSweep:
         exact_structure_connectivity(fdsc8, m, mode, budget)
         assert builds == [budget]
 
-    @pytest.mark.parametrize("m,mode,budget", DISTINCT_PAIRS)
+    @pytest.mark.parametrize("m,mode,budget", TABLE_CALLS)
     def test_table_matches_star_reference(self, m, mode, budget, fdsc8, monkeypatch):
         # the table built from the keys equals the one derived from the
-        # seen-set reference's stars, and calls ``reach`` once per distinct
-        # footprint pair: 18,304 over the nine calls, where one call per
-        # footprint pair of each star made 53,312
+        # seen-set reference's stars.  Its build asks ``components`` once
+        # per distinct removed inner mask, 1,144 calls over the nine calls,
+        # and ``reach`` never: every component of these candidates is too
+        # large for a weak reach (the build this replaced called ``reach``
+        # once per distinct footprint pair, 18,304 times)
         checker = modcheck.SurvivorCheck(fdsc8).checker
-        calls = []
-        real = modcheck.ModularChecker.reach
+        calls = {"reach": 0, "components": 0}
+        for name in calls:
+            real = getattr(modcheck.ModularChecker, name)
 
-        def counting(self, b, removed_mask):
-            calls.append((b, removed_mask))
-            return real(self, b, removed_mask)
+            def counting(self, *args, name=name, real=real):
+                calls[name] += 1
+                return real(self, *args)
 
-        monkeypatch.setattr(modcheck.ModularChecker, "reach", counting)
+            monkeypatch.setattr(modcheck.ModularChecker, name, counting)
         table = _SweepTable(_candidate_keys(fdsc8, m, mode), fdsc8, checker, budget, 5)
-        assert len(calls) == len(set(calls)) == DISTINCT_PAIRS[m, mode, budget]
+        assert calls == {"reach": 0, "components": TABLE_CALLS[m, mode, budget][0]}
         monkeypatch.undo()
         stars = [Star(center=c, leaves=leaves) for c, leaves in ref_candidates(fdsc8.adj, m, mode)]
-        ref = ref_table(stars, fdsc8.dim, checker, budget, 5)
-        assert [dict(fp) for fp in table.footprints] == ref.footprints
-        assert list(table.sizes) == ref.sizes
-        if ref.smaller is None:
-            assert table.checker is None
-        else:
-            assert (table.smaller, table.weak, table.touches) == (ref.smaller, ref.weak, ref.touches)
+        _matches_reference(table, ref_table(stars, fdsc8.dim, checker, budget, 5))
 
     def test_census_once_per_certificate(self, fdsc8, monkeypatch):
         # no subset of the nine calls touches every module, so the checker
@@ -392,12 +404,37 @@ class TestSweep:
 
         monkeypatch.setattr("fdsc.oracle.components_after_removal", counting)
         hits = 0
-        for m, mode, budget in DISTINCT_PAIRS:
+        for m, mode, budget in TABLE_CALLS:
             before = len(calls)
             result = exact_structure_connectivity(fdsc8, m, mode, budget)
             hits += result.value is not None
             assert len(calls) - before == (result.value is not None), (m, mode, budget)
         assert hits == len(calls) == 7
+
+    def test_footprints_only_where_read(self, fdsc8, monkeypatch):
+        # the table derives a footprint when the sweep first reads it, once:
+        # 5,076 of the nine calls' 35,136 candidates.  The budget-2
+        # K_{1,1}-substructure call prunes both levels wholly and the
+        # budget-1 K_{1,5}-substructure call proves its one level in bulk,
+        # so neither derives any
+        read, derived = [], []
+        real_read, real_derive = _SweepTable.footprint, _SweepTable._derive
+
+        def reading(self, k):
+            read.append(k)
+            return real_read(self, k)
+
+        def deriving(self, k):
+            derived.append(k)
+            return real_derive(self, k)
+
+        monkeypatch.setattr(_SweepTable, "footprint", reading)
+        monkeypatch.setattr(_SweepTable, "_derive", deriving)
+        for (m, mode, budget), (_, reads) in TABLE_CALLS.items():
+            read.clear(), derived.clear()
+            exact_structure_connectivity(fdsc8, m, mode, budget)
+            assert len(derived) == len(set(derived)) == len(set(read)) == reads, (m, mode, budget)
+        assert sum(reads for _, reads in TABLE_CALLS.values()) == 5076
 
     def test_stars_only_for_the_certificate(self, fdsc8, monkeypatch):
         # the sweep reads keys; the two stars of the certificate are the
@@ -468,6 +505,102 @@ class TestSweep:
         ) == expected
 
 
+class TestTable:
+    def test_component_size_bounds_the_reach(self, fdsc8):
+        # the bound that spares the table most ``reach`` calls, on FDSC_8's
+        # template: for every removed inner mask of at most 7 labels, every
+        # module b, every component M and every module set T holding b with
+        # |T| <= 3, the reach mask R of M in module b has
+        # |R & ~T| >= |M| - |T|.  T - {b} runs over every subset of the
+        # other modules, so the values |R & ~T| over the T of one size are
+        # the same for every R with the same |R - {b}|; every T is checked
+        # on one (b, R) per class of (|R - {b}|, |M|)
+        checker = modcheck.SurvivorCheck(fdsc8).checker
+        modules = range(checker.module_count)
+        classes = {}
+        for size in range(8):
+            for removed in itertools.combinations(modules, size):
+                mask = sum(1 << x for x in removed)
+                comps = checker.components(mask)
+                assert comps  # 7 of 16 labels never empty the template
+                for b in modules:
+                    for comp, r in zip(comps, checker.reach(b, mask), strict=True):
+                        key = ((r & ~(1 << b)).bit_count(), comp.bit_count())
+                        classes.setdefault(key, (b, r))
+        assert len(classes) == 30
+        for (_, need), (b, r) in classes.items():
+            for size in (1, 2, 3):
+                for t in itertools.combinations(modules, size):
+                    if b in t:
+                        assert (r & ~sum(1 << x for x in t)).bit_count() >= need - size
+        # a whole module removed leaves no component and no reach mask: the
+        # table sends such a pair to the exact route, which counts a
+        # candidate with no component at all as weakest reach 0
+        # (``TestBulkSplit.test_all_modules_touched``)
+        whole = (1 << checker.module_count) - 1
+        assert checker.components(whole) == ()
+        assert all(checker.reach(b, whole) == () for b in modules)
+
+    def test_leaves_in_other_modules(self, fdsc8):
+        # keys whose rows hold leaves in two other modules, so a candidate
+        # touches three modules, in no particular order and with center 21
+        # heading two runs.  Removing inner labels 3, 4, 7, 8, 11 and 12 of
+        # module 0 cuts off the component {0, 15}, whose reach, module 15,
+        # lies in the candidate's own module set when it also touches
+        # module 15: weakest reach 0.  ``tight`` meets the size bound with
+        # equality (smallest component 2 = weak_cap 0 + |T_i| 2 at budget 1);
+        # ``bare`` removes all of module 0, so only its two single-label
+        # pairs in modules 3 and 7 have components
+        cut = [48, 64, 112, 128, 176, 192]
+        wide = star(21, [*cut, 31])
+        tight = star(48, [*cut[1:], 31])
+        bare = star(0, [*range(16, 256, 16), 3, 7])
+        cands = [star(0x26), wide, bare, star(0x1F), tight, star(21, [31]), star(15)]
+        keys = _keys_of(cands)
+        for budget in (1, 2, 3):
+            table = _table(fdsc8, keys, budget)
+            assert table.widest == 3
+            assert [k for k in range(len(keys)) if table.weak[0] >> k & 1] == [1, 4]
+            plain = _table(fdsc8, keys, budget, use_modular=False)
+            for t in range(1, budget + 1):
+                assert _sweep(table, t, 5) == _sweep(plain, t, 5)
+        assert [b for b in range(16) if table.touches[b] >> 2 & 1] == [0, 3, 7]
+
+    @pytest.mark.slow
+    def test_n16_substructure_call_under_500_mb(self):
+        # the n = 16 cross-check's memory gate: the K_{1,6}-substructure
+        # t = 1 call over 3,817,472 candidates, graph build included, peaks
+        # below 500 MB in a fresh process (about 240 MB on CPython 3.11).
+        # The child reads the peak of its own address space (VmHWM):
+        # Linux carries the parent's peak into a child's ru_maxrss across
+        # fork and exec, so under a large test process that would measure
+        # the test process
+        if not pathlib.Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status for the child's peak")
+        code = (
+            "import re\n"
+            "from fdsc import build_graph, exact_structure_connectivity, make_dim\n"
+            "r = exact_structure_connectivity(build_graph(make_dim(4)), 6, 'substructure', 1)\n"
+            "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]\n"
+            "print(r.candidates, r.value, r.examined, r.pruned, peak)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        *result, peak_kb = proc.stdout.split()
+        assert result == ["3817472", "None", "3817472", "3358720"]
+        assert int(peak_kb) < 500 * 1024
+
+    @pytest.mark.parametrize("row", [[16, 32, 16], [16, 0, 32]])
+    def test_row_with_a_repeat_or_its_center_is_refused(self, row, fdsc8):
+        # a key's size is 1 + its leaf count only on a row that holds
+        # neither its center nor an entry twice
+        keys = _Keys(array("I", [0]), [0b11], {0: row})
+        with pytest.raises(ValueError, match="row of center 0"):
+            _SweepTable(keys, fdsc8, modcheck.SurvivorCheck(fdsc8).checker, 2, 5)
+
+
 def _slow_reasons(checker, footprints, prefix, i):
     """Why the bulk split must leave extension i of ``prefix`` to the
     per-subset route, worked out per candidate with sets: an empty set means
@@ -512,7 +645,7 @@ class TestBulkSplit:
         the reasons met, by (prefix, extension)."""
         keys = _keys_of(cands)
         table, wide = _table(fdsc8, keys, t), _table(fdsc8, keys, 3)
-        checker, footprints = table.checker, table.footprints
+        checker, footprints = table.checker, _footprints(table)
         met = {}
         for prefix, merged, size, start in _prefixes(footprints, t):
             pruned, slow = table.split(merged, size, start, self.KAPPA)
