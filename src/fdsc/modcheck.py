@@ -32,9 +32,12 @@ So whenever some module is intact the checker is exact: it answers True
 iff the survivor graph is connected.  It never answers "disconnected": it
 abstains (None) when every module is touched or the survivor graph is
 disconnected, and the plain census confirms every such case, so every
-disconnecting set is found by the census.  The oracle's sweep applies the
-fast test to whole sets of candidates at once, through ``reach``, so the
-two cannot drift apart.
+disconnecting set is found by the census.  The fast test for one touched
+module is one method, ``reaches_core``, which ``connected`` asks of every
+touched module.  The oracle's sweep applies the fast test to whole sets of
+candidates at once, through ``reach``, and asks ``reaches_core`` of the one
+module an extension shares with its prefix, so neither can drift apart
+from ``connected``.
 
 The facts this argument leans on are not assumed: the constructor proves
 them for the exact dimension in use and raises if any fails.  The module
@@ -153,7 +156,7 @@ class ModularChecker:
         """(inner label, module) of the cross-edge partner of vertex (x, b):
         (b, x), or (~b, ~b) when x = b.  The constructor has proven this
         rule for every vertex.  ``_linked`` calls it per vertex; ``reach``
-        and the fast test of ``connected`` read its apex case from
+        and the fast test (``reaches_core``) read its apex case from
         ``_apex_bit``, which the constructor builds from it."""
         if x == b:
             x = b ^ self.module_mask
@@ -233,17 +236,29 @@ class ModularChecker:
         tmask = 0
         for b in touched:
             tmask |= 1 << b
-        outside, cache, apex = ~tmask, self._comp_cache, self._apex_bit
+        reaches_core = self.reaches_core
         for b, removed_mask in touched.items():
-            comps = cache.get(removed_mask)
-            if comps is None:
-                comps = self.components(removed_mask)
-            # b itself is touched, so bit b of a component meets ~T only as
-            # the apex partner's module ~b, which it does iff ~b is untouched
-            out = outside | 1 << b if outside & apex[b] else outside
-            for comp in comps:
-                if not comp & out:
-                    return True if self._linked(touched, tmask) else None
+            if not reaches_core(b, removed_mask, tmask):
+                return True if self._linked(touched, tmask) else None
+        return True
+
+    def reaches_core(self, b: int, removed_mask: int, tmask: int) -> bool:
+        """The fast test for one touched module b (in ``tmask``, the mask of
+        touched modules): whether every component of module b minus
+        ``removed_mask`` has a reach mask that meets an untouched module.
+        ``connected`` asks it of every touched module, and the oracle's
+        sweep of the one module an extension shares with its prefix."""
+        comps = self._comp_cache.get(removed_mask)
+        if comps is None:
+            comps = self.components(removed_mask)
+        outside = ~tmask
+        # b itself is touched, so bit b of a component meets ~T only as the
+        # apex partner's module ~b, which it does iff ~b is untouched
+        if outside & self._apex_bit[b]:
+            outside |= 1 << b
+        for comp in comps:
+            if not comp & outside:
+                return False
         return True
 
     def _linked(self, touched: dict[int, int], tmask: int) -> bool:

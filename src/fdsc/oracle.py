@@ -57,15 +57,23 @@ those the checker's fast test (``ModularChecker.connected``: fewer than
 all modules touched, and every component's reach mask meets an untouched
 module) reads only facts about the prefix and about the extension alone.
 So the sweep settles them in bulk, with bit operations on candidate-index
-bitsets (``_SweepTable``): an extension is pruned when the two union sizes
-add up to less than the bound, and proven when neither a reach mask of the
-prefix nor one of the extension can fail.  Only the rest (overlapping
-extensions, those a prefix mask could fail on, and those with a weak reach
-of their own) go to the checker, one merged footprint at a time, which
-decides every one that leaves a module intact, and then to the census.
-Every skipped subset is one that ``connected`` proves, so the first census
-hit, the certificate and the counts are those of asking the checker about
-every subset.
+bitsets (``_SweepTable.split``): an extension is pruned when the two union
+sizes add up to less than the bound, and proven when neither a reach mask
+of the prefix nor one of the extension can fail.  Most of the others share
+exactly one module b with the prefix; when neither the extension's own
+reach nor a prefix mask of another module can fail, only module b's
+components change, so the *overlap route* (``_SweepTable.overlap``)
+settles the extension from the prefix's merged mask in b: it prunes on
+|P| + |i| - |P_b & i_b|, and proves when module b minus P_b | i_b passes
+the one per-module test that ``connected`` asks of every touched module
+(``ModularChecker.reaches_core``).  Only the rest (extensions sharing two
+or more modules, those a prefix mask of another module could fail on,
+those with a weak reach of their own, and those whose module b fails)
+go to the checker, one merged footprint at a time, which decides every
+one that leaves a module intact, and then to the census; over the nine
+``oracle-table-n8`` calls that is 927 queries.  Every skipped subset is
+one that ``connected`` proves, so the first census hit, the certificate
+and the counts are those of asking the checker about every subset.
 
 Faults have one vocabulary, the ``FaultFamily``: a vertex is a 0-leaf
 star and an edge a 1-leaf star, so a mix of vertex and edge removals is a
@@ -289,17 +297,18 @@ class _SweepTable:
     ``budget`` and the bound ``kappa``, as columns over the candidate
     indices computed run by run of equal centers: each candidate's size
     and, with a ``checker``, candidate-index bitsets (bit k for candidate
-    k) that settle a prefix's module-disjoint extensions in bulk.  The
-    checker is dropped, and no bitset built, when every level up to
-    ``budget`` is wholly pruned.  A candidate's footprint, its vertex set
-    split into (module, inner mask) pairs as ``modcheck.footprint`` splits
-    it, is derived from its key when the sweep first reads it
-    (``footprint``) and kept: the nine ``oracle-table-n8`` calls read 5,076
-    of their 35,136 candidates' footprints, and a call whose levels are
-    wholly pruned, or that needs one level and proves it in bulk, reads
-    none.  The table holds no ``Star``: the census reads its labels from
-    the keys (``_Keys.vertices``), and only the certificate's stars are
-    made.
+    k) that settle a prefix's module-disjoint extensions in bulk and pick
+    out those that the overlap route (``overlap``) takes.  The checker is
+    dropped, and no bitset built, when every level up to ``budget`` is
+    wholly pruned.  A candidate's footprint, its vertex set split into
+    (module, inner mask) pairs as ``modcheck.footprint`` splits it, is
+    derived from its key when the sweep (``footprint``) or the overlap
+    route first reads it, and kept: the nine ``oracle-table-n8`` calls
+    read 5,076 of their 35,136 candidates' footprints, and a call whose
+    levels are wholly pruned, or that needs one level and proves it in
+    bulk, reads none.  The table holds no ``Star``: the census reads its
+    labels from the keys (``_Keys.vertices``), and only the certificate's
+    stars are made.
 
     A key's size is 1 + the popcount of its leaf mask, because its row
     holds neither its center nor a repeated entry; the table checks that
@@ -431,33 +440,90 @@ class _SweepTable:
         return fp
 
     def split(self, merged: dict[int, int], size: int, start: int, kappa: int):
-        """(pruned, slow): the bitsets of the candidates in [start, count)
-        that extend the prefix with merged footprint ``merged`` and union
-        size ``size`` into a subset the union prune skips, and into one the
-        bulk proof cannot settle.  Every other candidate in the range gives
-        a subset that ``ModularChecker.connected`` proves connected."""
+        """(pruned, slow, shared): of the candidates in [start, count) that
+        extend the prefix with merged footprint ``merged`` and union size
+        ``size``, the bitset of those the union prune skips, the bitset of
+        those that neither the bulk proof nor ``overlap`` can take, and the
+        dict b -> bitset of those that ``overlap`` takes, which share
+        module b alone with the prefix.  Every other candidate in the range
+        gives a subset that ``ModularChecker.connected`` proves connected.
+        A prefix mask's failing candidates are found per prefix module, so
+        that an extension sharing module b is held back only by the masks
+        of the other modules."""
         window = self.full >> start << start
-        tmask = overlap = 0
+        touches = self.touches
+        tmask = overlap = twice = 0
         for b in merged:
             tmask |= 1 << b
-            overlap |= self.touches[b]
+            twice |= overlap & touches[b]
+            overlap |= touches[b]
         # disjoint modules mean disjoint vertices: the union size is a sum
         short = min(max(kappa - size, 0), len(self.smaller) - 1)
         pruned = window & ~overlap & self.smaller[short]
         # |T_P| + |T_i| >= M needs no test of its own: R & ~T_i then lies in
         # the M - |T_i| <= |T_P| modules outside T_i, so i is weak
-        slow = overlap | self.weak[len(merged)]
-        # a prefix reach mask R' = R & ~T_P fails on exactly the candidates
-        # that touch every module of R', which needs |R'| <= max|T_i|
+        weak = self.weak[len(merged)]
+        # per prefix module: a reach mask R' = R & ~T_P of its components
+        # fails on exactly the candidates that touch every module of R',
+        # which needs |R'| <= max|T_i|
+        fails = {}
         for b, removed in merged.items():
             for r in self.reach(b, removed):
                 r &= ~tmask
                 if r.bit_count() <= self.widest:
-                    fails = self.full
+                    failing = self.full
                     for x in _members(r):
-                        fails &= self.touches[x]
-                    slow |= fails
-        return pruned, slow & window & ~pruned
+                        failing &= touches[x]
+                    fails[b] = fails.get(b, 0) | failing
+        slow = overlap | weak
+        for failing in fails.values():
+            slow |= failing
+        slow &= window & ~pruned
+        # an extension that shares module b alone, is not weak, and fails no
+        # prefix mask of another module keeps every component outside b
+        # joined to the core; ``overlap`` tests module b
+        shared = {}
+        once = slow & ~twice & ~weak
+        for b in merged:
+            bits = once & touches[b]
+            for c, failing in fails.items():
+                if c != b:
+                    bits &= ~failing
+            if bits:
+                shared[b] = bits
+                slow &= ~bits
+        return pruned, slow, shared
+
+    def overlap(self, merged: dict[int, int], size: int, shared: dict[int, int], kappa: int):
+        """(pruned, sent): of the extensions in ``split``'s ``shared`` bitsets
+        (b -> extensions that share module b alone with the prefix, are not
+        weak, and fail no prefix mask of another module), the indices whose
+        union size is below ``kappa``, and those whose module b the fast test
+        cannot prove, each ascending per module.  Every other one gives a
+        subset that ``ModularChecker.connected`` proves connected."""
+        footprints, derive, sizes = self._footprints, self._derive, self.sizes
+        reaches_core = self.checker.reaches_core
+        tmask = 0
+        for b in merged:
+            tmask |= 1 << b
+        pruned, sent = [], []
+        for b, bits in shared.items():
+            held = merged[b]
+            for i in _members(bits):
+                fp = footprints.get(i)
+                if fp is None:
+                    fp = footprints[i] = derive(i)
+                inner, touched = 0, tmask
+                for c, x in fp:
+                    touched |= 1 << c
+                    if c == b:
+                        inner = x
+                # the two vertex sets meet only in module b
+                if size + sizes[i] - (held & inner).bit_count() < kappa:
+                    pruned.append(i)
+                elif not reaches_core(b, held | inner, touched):
+                    sent.append(i)
+        return pruned, sent
 
 
 def _sweep(table: _SweepTable, t: int, kappa: int):
@@ -472,26 +538,51 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
     pruned without a visit.
 
     With a checker, the extensions i of each (t-1)-prefix P are split in
-    bulk (``_SweepTable.split``).  When the module sets T_i and T_P are
-    disjoint, so are the vertex sets, and the merged footprint is P's plus
-    i's: the union size is the sum of the two sizes, and ``connected``
-    proves the subset iff |T_P| + |T_i| < M and every reach mask R, of P's
-    components and of i's, meets ~(T_P | T_i).  For R of P that fails
-    exactly when i touches every module of R & ~T_P; for R of i it fails
-    only if i is *weak*, |R & ~T_i| <= |T_P|.  Every i with
-    |T_P| + |T_i| >= M is weak (R & ~T_i then lies in the M - |T_i| <=
-    |T_P| modules outside T_i), or keeps no component and is counted weak.
-    So each disjoint extension is pruned or proven by bit operations on
-    whole candidate sets, unless a prefix mask fails on it or it is weak;
-    those and every overlapping extension are slow, and the slow ones go,
-    in ascending order, through the per-subset route: union recount and
-    merged footprint in one pass over the extension's pairs, the checker
-    with the merged footprint, then the census with the label list.
-    No disconnecting subset is skipped, because every skipped subset is one
+    bulk (``_SweepTable.split``).  The fast test of ``connected`` proves a
+    subset iff its module set T = T_P | T_i misses a module and every
+    component of every touched module has a reach mask R that meets ~T.
+
+    *Disjoint extensions.*  When T_i and T_P are disjoint, so are the vertex
+    sets, and the merged footprint is P's plus i's: the union size is the
+    sum of the two sizes, and the fast test proves the subset iff
+    |T_P| + |T_i| < M and every reach mask R, of P's components and of
+    i's, meets ~T.  For R of P that fails exactly when i touches every
+    module of R & ~T_P; for R of i it fails only if i is *weak*,
+    |R & ~T_i| <= |T_P|.  Every i with |T_P| + |T_i| >= M is weak (R & ~T_i
+    then lies in the M - |T_i| <= |T_P| modules outside T_i), or keeps no
+    component and is counted weak.  So each disjoint extension is pruned or
+    proven by bit operations on whole candidate sets, unless a prefix mask
+    fails on it or it is weak.
+
+    *The overlap route* (``_SweepTable.overlap``).  Let T_i and T_P share
+    exactly one module b, let i not be weak, and let no prefix mask of a
+    module other than b fail on i.  The vertex sets meet only in module b,
+    so the union size is |P| + |i| - |P_b & i_b|, and i is pruned if that
+    is below ``kappa``.  Otherwise take the merged footprint module by
+    module.  A module of T_P other than b holds P's components alone, whose
+    reach masks meet ~T because no prefix mask of that module fails on i.
+    A module of T_i other than b holds i's components alone, and i is not
+    weak, so each of their reach masks has |R & ~T_i| > |T_P| and meets
+    ~T.  T misses a module: were |T_P| + |T_i| - 1 >= M, every reach mask
+    of i would have |R & ~T_i| <= M - |T_i| < |T_P|, so i would be weak
+    (or, keeping no component, counted weak).  So ``connected``'s fast test
+    passes iff every component of module b minus P_b | i_b has a reach mask
+    that meets ~T, apex case included, which is the one per-module test
+    ``ModularChecker.reaches_core`` that ``connected`` asks itself; when it
+    passes, ``connected`` proves the subset.
+
+    Every other extension is slow: the disjoint ones not settled in bulk;
+    overlapping ones that share two or more modules with P, are weak, or
+    fail a prefix mask of a module other than the shared one; and those
+    whose module b the overlap route cannot prove.  They go, in ascending
+    order, through the per-subset route: union recount and merged
+    footprint in one pass over the extension's pairs, the checker with the
+    merged footprint, then the census with the label list.  No
+    disconnecting subset is skipped, because every skipped subset is one
     that ``connected`` proves, and the first census hit is the same.  The
     counts stay exact: a hit at i has examined i - start + 1 extensions of
-    its prefix, and pruned the slow prunes plus the bulk prunes below i.
-    Without a checker every extension is slow.
+    its prefix, and pruned the slow prunes plus the bulk and overlap-route
+    prunes below i.  Without a checker every extension is slow.
     """
     footprint = table.footprint
     count = len(table.keys)
@@ -508,10 +599,11 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
         size = sum(inner.bit_count() for inner in merged.values())
         start = prefix[-1] + 1 if prefix else 0
         if proves is None:
-            bulk_pruned, slow = 0, range(start, count)
+            bulk_pruned, route_pruned, slow = 0, (), range(start, count)
         else:
-            bulk_pruned, bits = table.split(merged, size, start, kappa)
-            slow = _members(bits)
+            bulk_pruned, bits, shared = table.split(merged, size, start, kappa)
+            route_pruned, sent = table.overlap(merged, size, shared, kappa) if shared else ((), ())
+            slow = sorted([*_members(bits), *sent]) if sent else _members(bits)
         slow_pruned = 0
         for i in slow:
             union, touched = size, merged.copy()
@@ -527,10 +619,11 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
             combo = (*prefix, i)
             removed = [v for k in combo for v in table.keys.vertices(k)]
             if components_after_removal(table.g, removed).disconnected:
-                below = bulk_pruned & ((1 << i) - 1)
-                return combo, examined + i - start + 1, pruned + slow_pruned + below.bit_count()
+                below = (bulk_pruned & ((1 << i) - 1)).bit_count()
+                below += sum(j < i for j in route_pruned)
+                return combo, examined + i - start + 1, pruned + slow_pruned + below
         examined += count - start
-        pruned += slow_pruned + bulk_pruned.bit_count()
+        pruned += slow_pruned + bulk_pruned.bit_count() + len(route_pruned)
     return None, examined, pruned
 
 

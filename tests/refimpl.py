@@ -5,7 +5,8 @@ by slicing, so they share no code path with the packed-integer arithmetic
 under test.  ``ref_candidates`` is the candidate enumeration by memory: a
 set of the vertex sets emitted so far.  ``ref_table`` derives the oracle's
 sweep table from ``Star`` objects, one footprint per star and one reach
-call per footprint pair.  Tests derive expected values from
+call per footprint pair.  ``fails_fast_test`` works the module checker's
+fast test out from its ``reach`` masks.  Tests derive expected values from
 these helpers (or freeze values computed by them) and compare against the
 fast implementation.
 """
@@ -66,6 +67,14 @@ def ref_candidates(adj: list[list[int]], m: int, mode: str) -> list[tuple[int, f
                     seen.add(key)
                     out.append((center, frozenset(combo)))
     return out
+
+
+def fails_fast_test(checker, touched):
+    """Whether some component of a touched module has no partner in an
+    untouched module, so that ``connected`` must decide on the component
+    graph: read from ``checker.reach``, not from ``reaches_core``."""
+    tmask = sum(1 << b for b in touched)
+    return any(not r & ~tmask for b, inner in touched.items() for r in checker.reach(b, inner))
 
 
 def _bits_below(values, bound):

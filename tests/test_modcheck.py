@@ -13,6 +13,7 @@ from fdsc.modcheck import (
     modular_checker,
     module_induction_bound,
 )
+from refimpl import fails_fast_test
 
 
 D3 = make_dim(3)
@@ -66,14 +67,6 @@ def closed_modules(mods, dim):
         for v in ((x << half) | b for x in range(1 << half))
         if external_neighbor(v, dim) & low not in mods
     }
-
-
-def fails_fast_test(checker, touched):
-    """Whether some component of a touched module has no partner in an
-    untouched module, so that ``connected`` must decide on the component
-    graph."""
-    tmask = sum(1 << b for b in touched)
-    return any(not r & ~tmask for b, inner in touched.items() for r in checker.reach(b, inner))
 
 
 class TestConstruction:
@@ -307,6 +300,26 @@ class TestAgainstPlainSearch:
         # intact, the module is one component, which loses bit b and gains
         # bit ~b (held already)
         assert checker8.reach(b, 0) == (everything ^ (1 << b),)
+
+    def test_reaches_core_reads_the_reach_masks(self, checker8):
+        # the per-module fast test holds iff every reach mask of module b
+        # minus the removed mask meets a module outside the touched set:
+        # on random removals and touched sets holding b, and on module 3
+        # kept at inner labels 3 and 5, whose component {3} reaches module
+        # 0xC only, through the apex edge
+        rng = random.Random(27)
+        cases = []
+        for _ in range(2000):
+            b = rng.randrange(16)
+            removed = sum(1 << x for x in rng.sample(range(16), rng.randint(0, 16)))
+            tmask = 1 << b | sum(1 << x for x in rng.sample(range(16), rng.randint(0, 15)))
+            cases.append((b, removed, tmask))
+        apex = (1 << 16) - 1 ^ (1 << 3) ^ (1 << 5)
+        cases += [(3, apex, 1 << 3), (3, apex, 1 << 3 | 1 << 0xC), (3, apex, 1 << 3 | 1 << 5)]
+        got = [checker8.reaches_core(*case) for case in cases]
+        assert got == [all(r & ~t for r in checker8.reach(b, m)) for b, m, t in cases]
+        assert got[-3:] == [True, False, False]
+        assert got.count(True) > 100 and got.count(False) > 100
 
 
 def test_capped_cache_gives_the_same_answers(checker8, monkeypatch):

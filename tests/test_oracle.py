@@ -27,7 +27,7 @@ from fdsc import (
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, Star, star
 from fdsc.graph import components_after_removal
 from fdsc.oracle import _candidate_keys, _Keys, _members, _sweep, _SweepTable
-from refimpl import ref_candidates, ref_table
+from refimpl import fails_fast_test, ref_candidates, ref_table
 
 
 def _pairs(stars):
@@ -275,18 +275,19 @@ def _prefixes(footprints, t):
 # the nine calls of the benchmark's ``oracle-table-n8`` workload, each with
 # the number of ``components`` calls its table build makes, one per distinct
 # removed inner mask (0 where every level is wholly pruned and the table
-# keeps no checker), 1,144 in all, and the number of candidates whose
-# footprint its sweep reads, 5,076 of 35,136 in all
+# keeps no checker), 1,144 in all; the number of candidates whose footprint
+# its sweep reads, 5,076 of 35,136 in all; and the number of
+# ``ModularChecker.connected`` queries its sweep makes, 927 in all
 TABLE_CALLS = {
-    (1, SUBSTRUCTURE, 2): (0, 0),
-    (2, STRUCTURE, 2): (112, 368),
-    (3, STRUCTURE, 2): (132, 464),
-    (4, STRUCTURE, 2): (84, 272),
-    (2, SUBSTRUCTURE, 2): (112, 494),
-    (3, SUBSTRUCTURE, 2): (164, 958),
-    (4, SUBSTRUCTURE, 2): (180, 1230),
-    (5, SUBSTRUCTURE, 2): (180, 1290),
-    (5, SUBSTRUCTURE, 1): (180, 0),
+    (1, SUBSTRUCTURE, 2): (0, 0, 0),
+    (2, STRUCTURE, 2): (112, 368, 34),
+    (3, STRUCTURE, 2): (132, 464, 79),
+    (4, STRUCTURE, 2): (84, 272, 28),
+    (2, SUBSTRUCTURE, 2): (112, 494, 45),
+    (3, SUBSTRUCTURE, 2): (164, 958, 177),
+    (4, SUBSTRUCTURE, 2): (180, 1230, 273),
+    (5, SUBSTRUCTURE, 2): (180, 1290, 291),
+    (5, SUBSTRUCTURE, 1): (180, 0, 0),
 }
 
 
@@ -308,13 +309,15 @@ class TestSweep:
     def test_bulk_matches_plain_route(self, fdsc8):
         # strided slices of at most 40 candidates, every pattern order and
         # mode, t = 1..3, from all candidates or from those centered on one
-        # closed neighborhood (where cuts are found): the bulk split with the
-        # checker and the census-only route give the same hit, examined and
-        # pruned, and so does the split on a table built for budget 3, whose
-        # extra ``weak`` and ``touches`` rows no level below 3 reads, and on
-        # one built for budget 10^5, whose ``weak`` rows stop at the module
-        # count.  A table whose levels are all pruned has no split.  Every
-        # table matches ``ref_table`` (in ``_table``)
+        # closed neighborhood (where cuts are found): the sweep with the
+        # checker (bulk split and overlap route) and the census-only route
+        # give the same hit, examined and pruned, and so does the sweep on a
+        # table built for budget 3, whose extra ``weak`` and ``touches`` rows
+        # no level below 3 reads, and on one built for budget 10^5, whose
+        # ``weak`` rows stop at the module count; the three tables split
+        # every prefix and route its overlapping extensions alike.  A table
+        # whose levels are all pruned has no split.  Every table matches
+        # ``ref_table`` (in ``_table``)
         pools, hits = {}, []
 
         @settings(max_examples=100, derandomize=True, deadline=None)
@@ -341,11 +344,14 @@ class TestSweep:
             cands = _pick(pools[m, mode], pool[first % len(pool) :: step][:length])
             table, wide = _table(fdsc8, cands, t), _table(fdsc8, cands, 3)
             huge = _table(fdsc8, cands, 10**5)
-            split_by = [x.split for x in (table, wide, huge) if x.checker is not None]
+            checked = [x for x in (table, wide, huge) if x.checker is not None]
             if huge.checker is not None:
                 assert len(huge.weak) <= huge.checker.module_count + 1
             for _, merged, size, start in _prefixes(_footprints(table), t):
-                assert len({split(merged, size, start, 5) for split in split_by}) <= 1
+                splits = [x.split(merged, size, start, 5) for x in checked]
+                routes = [x.overlap(merged, size, splits[0][2], 5) for x in checked]
+                assert all(got == splits[0] for got in splits)
+                assert all(got == routes[0] for got in routes)
             result = _sweep(_table(fdsc8, cands, t, use_modular=False), t, 5)
             assert _sweep(table, t, 5) == _sweep(wide, t, 5) == _sweep(huge, t, 5) == result
             hits.append(result[0] is not None)
@@ -416,7 +422,9 @@ class TestSweep:
         # 5,076 of the nine calls' 35,136 candidates.  The budget-2
         # K_{1,1}-substructure call prunes both levels wholly and the
         # budget-1 K_{1,5}-substructure call proves its one level in bulk,
-        # so neither derives any
+        # so neither derives any.  The overlap route reads the kept
+        # footprints without the ``footprint`` method, so the sweep's reads
+        # through it are a subset of those derived
         read, derived = [], []
         real_read, real_derive = _SweepTable.footprint, _SweepTable._derive
 
@@ -430,11 +438,44 @@ class TestSweep:
 
         monkeypatch.setattr(_SweepTable, "footprint", reading)
         monkeypatch.setattr(_SweepTable, "_derive", deriving)
-        for (m, mode, budget), (_, reads) in TABLE_CALLS.items():
+        for (m, mode, budget), (_, reads, _) in TABLE_CALLS.items():
             read.clear(), derived.clear()
             exact_structure_connectivity(fdsc8, m, mode, budget)
-            assert len(derived) == len(set(derived)) == len(set(read)) == reads, (m, mode, budget)
-        assert sum(reads for _, reads in TABLE_CALLS.values()) == 5076
+            assert len(derived) == len(set(derived)) == reads, (m, mode, budget)
+            assert set(read) <= set(derived)
+        assert sum(reads for _, reads, _ in TABLE_CALLS.values()) == 5076
+
+    def test_checker_queries_per_call(self, fdsc8, monkeypatch):
+        # the sweep asks ``connected`` only about the subsets that neither
+        # the bulk split nor the overlap route decides: 927 over the nine
+        # calls, against 39,202 with every overlapping extension queried.
+        # Examined and pruned are those of the parent sweep
+        calls = []
+        real = modcheck.ModularChecker.connected
+
+        def counting(self, touched):
+            calls.append(len(touched))
+            return real(self, touched)
+
+        monkeypatch.setattr(modcheck.ModularChecker, "connected", counting)
+        counts = []
+        for (m, mode, budget), (_, _, queries) in TABLE_CALLS.items():
+            calls.clear()
+            result = exact_structure_connectivity(fdsc8, m, mode, budget)
+            assert len(calls) == queries, (m, mode, budget)
+            counts.append((result.examined, result.pruned))
+        assert sum(queries for _, _, queries in TABLE_CALLS.values()) == 927
+        assert counts == [
+            (401_856, 401_856),
+            (21_191, 2_143),
+            (14_968, 2_368),
+            (4_234, 0),
+            (48_172, 13_095),
+            (86_835, 15_611),
+            (107_710, 15_611),
+            (111_885, 15_611),
+            (6_848, 5_312),
+        ]
 
     def test_stars_only_for_the_certificate(self, fdsc8, monkeypatch):
         # the sweep reads keys; the two stars of the certificate are the
@@ -602,24 +643,35 @@ class TestTable:
 
 
 def _slow_reasons(checker, footprints, prefix, i):
-    """Why the bulk split must leave extension i of ``prefix`` to the
-    per-subset route, worked out per candidate with sets: an empty set means
-    ``connected`` proves the subset."""
+    """Why extension i of ``prefix`` must go to the per-subset route, worked
+    out per candidate with sets: an empty set means that ``connected``
+    proves the subset when i shares no module with the prefix, and that the
+    overlap route takes i when it shares one.  The shared module's own
+    components are the union's, which the route tests, so no reason is read
+    from the prefix's components there."""
     merged = {}
     for k in prefix:
         for b, inner in footprints[k]:
             merged[b] = merged.get(b, 0) | inner
     prefix_modules = sum(1 << b for b in merged)
     own_modules = sum(1 << b for b, _ in footprints[i])
-    if prefix_modules & own_modules:
-        return {"shared module"}
+    shared = prefix_modules & own_modules
+    if shared.bit_count() > 1:
+        return {"shared modules"}
     reasons = set()
-    if len(merged) + len(footprints[i]) >= checker.module_count:
+    if (prefix_modules | own_modules).bit_count() >= checker.module_count:
         reasons.add("wide")
-    for b, inner in footprints[i]:
-        if any((r & ~own_modules).bit_count() <= len(merged) for r in checker.reach(b, inner)):
-            reasons.add("weak")
+    # a candidate with no component left counts as weak
+    counts = [
+        (r & ~own_modules).bit_count()
+        for b, inner in footprints[i]
+        for r in checker.reach(b, inner)
+    ]
+    if min(counts, default=0) <= len(merged):
+        reasons.add("weak")
     for b, removed in merged.items():
+        if shared >> b & 1:
+            continue
         for r in checker.reach(b, removed):
             left = r & ~prefix_modules
             if not left:
@@ -629,42 +681,144 @@ def _slow_reasons(checker, footprints, prefix, i):
     return reasons
 
 
+def _route_agrees(table, prefix, merged, size, shared, kappa):
+    """Check ``_SweepTable.overlap`` on each extension i that ``split``'s
+    ``shared`` gives it: i shares exactly its module b with the prefix; the
+    route's union size is the recount of the labels (i is kept at kappa =
+    the recount and pruned at the recount + 1, asked of the extensions of
+    one recount at once); i is pruned iff that is below ``kappa``;
+    otherwise the route proves i iff ``connected``'s fast test passes on the
+    merged footprint (some module untouched, and no ``fails_fast_test``),
+    and then ``connected`` answers True.
+    Returns the numbers of extensions pruned and proven."""
+    checker, keys = table.checker, table.keys
+    pruned, sent = map(set, table.overlap(merged, size, shared, kappa))
+    held = {v for k in prefix for v in keys.vertices(k)}
+    by_union = {}  # (b, recount) -> bitset of the extensions
+    decided = [0, 0]
+    for b, bits in shared.items():
+        for i in _members(bits):
+            fp = table.footprint(i)
+            assert set(merged) & {c for c, _ in fp} == {b}
+            union = len(held.union(keys.vertices(i)))
+            by_union[b, union] = by_union.get((b, union), 0) | 1 << i
+            assert (i in pruned) == (union < kappa)
+            if i in pruned:
+                decided[0] += 1
+                continue
+            touched = dict(merged)
+            for c, inner in fp:
+                touched[c] = touched.get(c, 0) | inner
+            fast = len(touched) < checker.module_count and not fails_fast_test(checker, touched)
+            assert (i not in sent) == fast, (prefix, i)
+            if fast:
+                assert checker.connected(touched) is True
+                decided[1] += 1
+    for (b, union), bits in by_union.items():
+        assert table.overlap(merged, size, {b: bits}, union)[0] == []
+        assert table.overlap(merged, size, {b: bits}, union + 1)[0] == list(_members(bits))
+    return decided
+
+
+class TestOverlapRoute:
+    """The overlap route against a recount and ``connected`` on the FDSC_8
+    tables (``_route_agrees`` checks each extension it takes)."""
+
+    @staticmethod
+    def agree(fdsc8, keys, t, every=1):
+        """Run ``_route_agrees`` on every ``every``-th (t-1)-prefix of
+        ``keys``, on the table built for budget t; return the numbers of
+        extensions the route pruned and proved."""
+        table = _table(fdsc8, keys, t)
+        decided = [0, 0]
+        prefixes = itertools.islice(_prefixes(_footprints(table), t), 0, None, every)
+        for prefix, merged, size, start in prefixes:
+            _, _, shared = table.split(merged, size, start, 5)
+            for total, got in enumerate(_route_agrees(table, prefix, merged, size, shared, 5)):
+                decided[total] += got
+        return decided
+
+    @pytest.mark.parametrize("m,mode,every", [(2, STRUCTURE, 7), (5, SUBSTRUCTURE, 97)])
+    def test_t2_prefixes_sampled(self, m, mode, every, fdsc8):
+        pruned, proven = self.agree(fdsc8, _candidate_keys(fdsc8, m, mode), 2, every)
+        assert pruned > 0 and proven > 0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m,mode", [(2, STRUCTURE), (5, SUBSTRUCTURE)])
+    def test_every_t2_prefix(self, m, mode, fdsc8):
+        # every prefix of the budget-2 tables, not only those before the hit
+        pruned, proven = self.agree(fdsc8, _candidate_keys(fdsc8, m, mode), 2)
+        assert pruned > 0 and proven > 0
+
+    def test_t3_prefixes(self, fdsc8):
+        # the K_{1,2}-structure candidates centered on the closed
+        # neighborhood of vertex 149, where cuts are found: every pair
+        # prefix
+        keys = _candidate_keys(fdsc8, 2, STRUCTURE)
+        ball = {149, *fdsc8.adj[149]}
+        cands = _pick(keys, [k for k in range(len(keys)) if keys.centers[k] in ball])
+        pruned, proven = self.agree(fdsc8, cands, 3)
+        assert pruned > 0 and proven > 0
+
+
 class TestBulkSplit:
-    """Each reason that sends a disjoint extension to the per-subset route,
-    on hand-picked FDSC_8 families (label (x << 4) | b is inner label x of
-    module b).  Removing inner labels 0, 3, 7 and 11 of module 0 isolates
-    its inner label 15, whose cross edge leads to (0, 15), label 15, in
-    module 15; so with label 15 removed too, label 240 is cut off."""
+    """Each reason that sends an extension to the per-subset route, and
+    each case of the overlap route, on hand-picked FDSC_8 families (label
+    (x << 4) | b is inner label x of module b; a family member is any vertex
+    set, written as a star, since the sweep reads only its vertices).
+    Removing inner labels 0, 3, 7 and 11 of module 0 isolates its inner
+    label 15, whose cross edge leads to (0, 15), label 15, in module 15; so
+    with label 15 removed too, label 240 is cut off."""
 
     KAPPA = 5
 
     def split_agrees(self, fdsc8, cands, t):
         """Compare the split with ``_slow_reasons`` for every prefix and
         extension, on a table built for budget t and on one built for budget
-        3; compare the sweep on both with the census-only route, and return
-        the reasons met, by (prefix, extension)."""
+        3, and check the overlap route on the extensions it takes
+        (``_route_agrees``); compare the sweep on both tables with the
+        census-only route.  Returns the reasons met and the extensions
+        routed, both by (prefix, extension), and the sweep's result."""
         keys = _keys_of(cands)
         table, wide = _table(fdsc8, keys, t), _table(fdsc8, keys, 3)
         checker, footprints = table.checker, _footprints(table)
-        met = {}
+        met, routed = {}, set()
         for prefix, merged, size, start in _prefixes(footprints, t):
-            pruned, slow = table.split(merged, size, start, self.KAPPA)
-            assert wide.split(merged, size, start, self.KAPPA) == (pruned, slow)
+            pruned, slow, shared = table.split(merged, size, start, self.KAPPA)
+            assert wide.split(merged, size, start, self.KAPPA) == (pruned, slow, shared)
+            _route_agrees(table, prefix, merged, size, shared, self.KAPPA)
             for i in range(start, len(cands)):
                 reasons = _slow_reasons(checker, footprints, prefix, i)
-                small = (
-                    "shared module" not in reasons and size + len(cands[i].vertices) < self.KAPPA
+                common = set(merged) & {b for b, _ in footprints[i]}
+                small = not common and size + len(cands[i].vertices) < self.KAPPA
+                takes = [b for b, bits in shared.items() if bits >> i & 1]
+                assert takes == (sorted(common) if len(common) == 1 and not reasons else [])
+                assert (pruned >> i & 1, slow >> i & 1) == (
+                    small,
+                    bool(reasons) and not small,
                 )
-                assert (pruned >> i & 1, slow >> i & 1) == (small, bool(reasons) and not small)
                 met[prefix, i] = reasons
+                if takes:
+                    routed.add((prefix, i))
         hit = _sweep(table, t, self.KAPPA)
         assert hit == _sweep(wide, t, self.KAPPA)
         assert hit == _sweep(_table(fdsc8, keys, t, use_modular=False), t, self.KAPPA)
-        return met, hit
+        return met, routed, hit
 
     def test_shared_module(self, fdsc8):
-        met, hit = self.split_agrees(fdsc8, [star(0x10, [0x50]), star(0x20, [0x60, 0x70])], 2)
-        assert met[(0,), 1] == {"shared module"}
+        # the two stars share module 0 alone: the overlap route proves them
+        met, routed, hit = self.split_agrees(
+            fdsc8, [star(0x10, [0x50]), star(0x20, [0x60, 0x70])], 2
+        )
+        assert met[(0,), 1] == set() and routed == {((0,), 1)}
+        assert hit == (None, 1, 0)
+
+    def test_two_shared_modules(self, fdsc8):
+        # sharing modules 0 and 1 sends the extension to the checker
+        met, routed, hit = self.split_agrees(
+            fdsc8, [star(0x10, [0x51]), star(0x20, [0x30, 0x61])], 2
+        )
+        assert met[(0,), 1] == {"shared modules"} and not routed
         assert hit == (None, 1, 0)
 
     def test_prefix_component_with_no_reach_left(self, fdsc8):
@@ -672,43 +826,92 @@ class TestBulkSplit:
         # 15 itself: the component has no reach outside the prefix, so no
         # disjoint extension is proven; label 15 completes the cut
         cands = [star(0, [255]), star(48, [112, 176]), star(0x21), star(0x52, [0x12]), star(15)]
-        met, hit = self.split_agrees(fdsc8, cands, 3)
+        met, routed, hit = self.split_agrees(fdsc8, cands, 3)
         assert met[(0, 1), 2] == met[(0, 1), 3] == {"no reach left"}
-        assert met[(0, 1), 4] == {"shared module"}
+        assert met[(0, 1), 4] == {"no reach left"}
         assert hit[0] == (0, 1, 4)
 
     def test_prefix_mask_covered_by_one_candidate(self, fdsc8):
         # the same isolated inner label 15, whose reach, module 15, is
         # outside the prefix: it fails only for the extensions in module 15
         cands = [star(0, [64]), star(48, [112, 176]), star(0x21), star(0x1F), star(15)]
-        met, hit = self.split_agrees(fdsc8, cands, 3)
+        met, routed, hit = self.split_agrees(fdsc8, cands, 3)
         assert met[(0, 1), 2] == set()
         assert met[(0, 1), 3] == met[(0, 1), 4] == {"covered"}
         assert hit[0] == (0, 1, 4)
 
     def test_weak_candidate(self, fdsc8):
         # no star of FDSC_8 cuts its own module, so the weak extension is a
-        # vertex set written as a star (the sweep reads only its vertices):
-        # it isolates inner label 15 of module 0, a component that reaches
-        # module 15 only, so |R & ~T_i| = 1 is at most |T_P| for any prefix.
-        # The last extension is pruned in bulk, after the hit: it is not
-        # counted
+        # vertex set: it isolates inner label 15 of module 0, a component
+        # that reaches module 15 only, so |R & ~T_i| = 1 is at most |T_P|
+        # for any prefix.  The last extension is pruned in bulk, after the
+        # hit: it is not counted
         cut_off = star(0, [48, 112, 176])
-        met, hit = self.split_agrees(fdsc8, [star(0x15), star(15), cut_off, star(0x26)], 2)
+        met, routed, hit = self.split_agrees(
+            fdsc8, [star(0x15), star(15), cut_off, star(0x26)], 2
+        )
         assert met[(0,), 2] == met[(1,), 2] == {"weak"}
         assert hit[0] == (1, 2)
+
+    def test_overlap_with_a_weak_component_elsewhere(self, fdsc8):
+        # the extension shares module 5 with the prefix and cuts off inner
+        # label 15 of module 0, whose partner, label 15, the prefix removes:
+        # weak, so the route leaves it to the checker and the census finds
+        # the cut
+        cands = [star(15, [0x25]), star(0, [48, 112, 176, 0x15])]
+        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == {"weak"} and not routed
+        assert hit == ((0, 1), 1, 0)
+
+    def test_overlap_with_a_prefix_mask_elsewhere(self, fdsc8):
+        # the prefix cuts off inner label 15 of module 0 and shares module 5
+        # with the extension, which removes the partner, label 15: a prefix
+        # mask of module 0 fails on it, so the route leaves it to the
+        # checker and the census finds the cut
+        cands = [star(0, [48, 112, 176, 0x25]), star(15, [0x15])]
+        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == {"covered"} and not routed
+        assert hit == ((0, 1), 1, 0)
+
+    def test_overlap_through_the_apex_edge(self, fdsc8):
+        # the prefix and the extension remove all of module 3 but inner
+        # labels 3 and 5, which are not adjacent, and each alone leaves
+        # module 3 large components, so neither is weak.  The component {3} reaches
+        # module ~3 = 0xC only, through the apex edge to (0xC, 0xC), label
+        # 0xCC: the route proves the union while module 0xC is untouched,
+        # and leaves it to the checker once the prefix removes label 0xCC,
+        # where the census finds the cut
+        half = [(x << 4) | 3 for x in (7, 9, 10, 11, 13, 14, 15)]
+        rest = [(x << 4) | 3 for x in (0, 1, 2, 4, 6, 8, 12)]
+        cands = [star(half[0], half[1:]), star(half[0], [*half[1:], 0xCC]), star(rest[0], rest[1:])]
+        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
+        assert routed == {((0,), 1), ((0,), 2), ((1,), 2)}
+        assert hit == ((1, 2), 3, 0)
+
+    def test_route_prune_after_the_hit_is_not_counted(self, fdsc8):
+        # the prefix cuts off inner label 15 of module 0, the second star
+        # completes the cut, and the third lies inside the prefix: the
+        # route prunes it, after the hit, so it is not counted
+        cands = [star(0, [48, 112, 176]), star(15), star(0)]
+        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
+        assert routed == {((0,), 2)}
+        assert hit == ((0, 1), 1, 0)
 
     def test_all_modules_touched(self, fdsc8):
         # a prefix on modules 1..15 and an extension in module 0 touch every
         # module, so the checker abstains.  Then the extension is weak, or a
         # prefix mask fails on it, whenever either keeps a component; here
-        # the prefix removes all of modules 1..15, and the extension that
-        # removes all of module 0 keeps no component and counts as weak
+        # the prefix removes all of modules 1..15, and an extension that
+        # removes all of module 0 keeps no component and counts as weak,
+        # whether it shares module 1 with the prefix or no module: neither
+        # bulk nor the overlap route takes it.  (Only the pairs within
+        # modules 0 and 1, which miss every other module, are routed)
         rest = star(1, [v for v in range(2, 256) if v & 15])
         whole_module = star(0, range(16, 256, 16))
-        met, hit = self.split_agrees(fdsc8, [rest, whole_module, star(0x20)], 2)
-        assert met[(0,), 1] == {"wide"}
-        assert met[(0,), 2] == {"wide", "weak"}
+        and_one = star(0, [*range(16, 256, 16), 1])
+        met, routed, hit = self.split_agrees(fdsc8, [rest, and_one, whole_module, star(0x20)], 2)
+        assert met[(0,), 1] == met[(0,), 2] == met[(0,), 3] == {"wide", "weak"}
+        assert routed == {((1,), 3), ((2,), 3)}
         # nothing survives the first pair, which the census counts as cut
         assert hit == ((0, 1), 1, 0)
 
