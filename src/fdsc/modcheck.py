@@ -35,7 +35,7 @@ disconnected, and the plain census confirms every such case, so every
 disconnecting set is found by the census.  The fast test for one touched
 module is one method, ``reaches_core``, which ``connected`` asks of every
 touched module.  The oracle's sweep applies the fast test to whole sets of
-candidates at once, through ``reach``, and asks ``reaches_core`` of the one
+candidates at once, through ``reach``, and asks ``reaches_core`` of each
 module an extension shares with its prefix, so neither can drift apart
 from ``connected``.
 
@@ -247,7 +247,7 @@ class ModularChecker:
         touched modules): whether every component of module b minus
         ``removed_mask`` has a reach mask that meets an untouched module.
         ``connected`` asks it of every touched module, and the oracle's
-        sweep of the one module an extension shares with its prefix."""
+        sweep of each module an extension shares with its prefix."""
         comps = self._comp_cache.get(removed_mask)
         if comps is None:
             comps = self.components(removed_mask)

@@ -59,21 +59,22 @@ module) reads only facts about the prefix and about the extension alone.
 So the sweep settles them in bulk, with bit operations on candidate-index
 bitsets (``_SweepTable.split``): an extension is pruned when the two union
 sizes add up to less than the bound, and proven when neither a reach mask
-of the prefix nor one of the extension can fail.  Most of the others share
-exactly one module b with the prefix; when neither the extension's own
-reach nor a prefix mask of another module can fail, only module b's
-components change, so the *overlap route* (``_SweepTable.overlap``)
-settles the extension from the prefix's merged mask in b: it prunes on
-|P| + |i| - |P_b & i_b|, and proves when module b minus P_b | i_b passes
-the one per-module test that ``connected`` asks of every touched module
-(``ModularChecker.reaches_core``).  Only the rest (extensions sharing two
-or more modules, those a prefix mask of another module could fail on,
-those with a weak reach of their own, and those whose module b fails)
-go to the checker, one merged footprint at a time, which decides every
-one that leaves a module intact, and then to the census; over the nine
-``oracle-table-n8`` calls that is 927 queries.  Every skipped subset is
-one that ``connected`` proves, so the first census hit, the certificate
-and the counts are those of asking the checker about every subset.
+of the prefix nor one of the extension can fail.  An extension that
+shares modules with the prefix is settled by the same rule
+(``_SweepTable.overlap``) when neither its own reach nor a prefix mask of
+a module it does not share can fail: only the shared modules' components
+change, so it is pruned on |P| + |i| minus the overlap of the prefix's
+merged mask and its own in each shared module, and proven when each
+shared module c minus P_c | i_c passes the one per-module test that
+``connected`` asks of every touched module
+(``ModularChecker.reaches_core``).  Only the rest (weak extensions, those
+a prefix mask of a module they do not share fails on, and those a shared
+module of which fails) go to the checker, one merged footprint at a time,
+which decides every one that leaves a module intact, and then to the
+census; over the nine ``oracle-table-n8`` calls that is 267 queries.
+Every skipped subset is one that ``connected`` proves, so the first census
+hit, the certificate and the counts are those of asking the checker about
+every subset.
 
 Faults have one vocabulary, the ``FaultFamily``: a vertex is a 0-leaf
 star and an edge a 1-leaf star, so a mix of vertex and edge removals is a
@@ -298,12 +299,12 @@ class _SweepTable:
     indices computed run by run of equal centers: each candidate's size
     and, with a ``checker``, candidate-index bitsets (bit k for candidate
     k) that settle a prefix's module-disjoint extensions in bulk and pick
-    out those that the overlap route (``overlap``) takes.  The checker is
+    out the overlapping ones that ``overlap`` settles.  The checker is
     dropped, and no bitset built, when every level up to ``budget`` is
     wholly pruned.  A candidate's footprint, its vertex set split into
     (module, inner mask) pairs as ``modcheck.footprint`` splits it, is
-    derived from its key when the sweep (``footprint``) or the overlap
-    route first reads it, and kept: the nine ``oracle-table-n8`` calls
+    derived from its key when the sweep (``footprint``) or ``overlap``
+    first reads it, and kept: the nine ``oracle-table-n8`` calls
     read 5,076 of their 35,136 candidates' footprints, and a call whose
     levels are wholly pruned, or that needs one level and proves it in
     bulk, reads none.  The table holds no ``Star``: the census reads its
@@ -440,33 +441,31 @@ class _SweepTable:
         return fp
 
     def split(self, merged: dict[int, int], size: int, start: int, kappa: int):
-        """(pruned, slow, shared): of the candidates in [start, count) that
+        """(pruned, slow, route): of the candidates in [start, count) that
         extend the prefix with merged footprint ``merged`` and union size
-        ``size``, the bitset of those the union prune skips, the bitset of
-        those that neither the bulk proof nor ``overlap`` can take, and the
-        dict b -> bitset of those that ``overlap`` takes, which share
-        module b alone with the prefix.  Every other candidate in the range
-        gives a subset that ``ModularChecker.connected`` proves connected.
-        A prefix mask's failing candidates are found per prefix module, so
-        that an extension sharing module b is held back only by the masks
-        of the other modules."""
+        ``size``, the bitset of those that share no module with the prefix
+        and that the union prune skips, the bitset of those that are weak or
+        that a prefix reach mask of a module they do not share fails on,
+        and the bitset of the other ones that share a module with the
+        prefix, which ``overlap`` settles.  Every other candidate in the
+        range gives a subset that ``ModularChecker.connected`` proves
+        connected.  The three bitsets are disjoint."""
         window = self.full >> start << start
         touches = self.touches
-        tmask = overlap = twice = 0
+        tmask = overlap = 0
         for b in merged:
             tmask |= 1 << b
-            twice |= overlap & touches[b]
             overlap |= touches[b]
         # disjoint modules mean disjoint vertices: the union size is a sum
         short = min(max(kappa - size, 0), len(self.smaller) - 1)
         pruned = window & ~overlap & self.smaller[short]
         # |T_P| + |T_i| >= M needs no test of its own: R & ~T_i then lies in
         # the M - |T_i| <= |T_P| modules outside T_i, so i is weak
-        weak = self.weak[len(merged)]
-        # per prefix module: a reach mask R' = R & ~T_P of its components
-        # fails on exactly the candidates that touch every module of R',
-        # which needs |R'| <= max|T_i|
-        fails = {}
+        held = self.weak[len(merged)]
+        # a reach mask R' = R & ~T_P of a prefix module b fails on exactly
+        # the candidates that touch every module of R', which needs
+        # |R'| <= max|T_i|; a candidate that shares b has module b's
+        # components tested by ``overlap`` instead
         for b, removed in merged.items():
             for r in self.reach(b, removed):
                 r &= ~tmask
@@ -474,55 +473,42 @@ class _SweepTable:
                     failing = self.full
                     for x in _members(r):
                         failing &= touches[x]
-                    fails[b] = fails.get(b, 0) | failing
-        slow = overlap | weak
-        for failing in fails.values():
-            slow |= failing
-        slow &= window & ~pruned
-        # an extension that shares module b alone, is not weak, and fails no
-        # prefix mask of another module keeps every component outside b
-        # joined to the core; ``overlap`` tests module b
-        shared = {}
-        once = slow & ~twice & ~weak
-        for b in merged:
-            bits = once & touches[b]
-            for c, failing in fails.items():
-                if c != b:
-                    bits &= ~failing
-            if bits:
-                shared[b] = bits
-                slow &= ~bits
-        return pruned, slow, shared
+                    held |= failing & ~touches[b]
+        rest = window & ~pruned
+        return pruned, rest & held, rest & overlap & ~held
 
-    def overlap(self, merged: dict[int, int], size: int, shared: dict[int, int], kappa: int):
-        """(pruned, sent): of the extensions in ``split``'s ``shared`` bitsets
-        (b -> extensions that share module b alone with the prefix, are not
-        weak, and fail no prefix mask of another module), the indices whose
-        union size is below ``kappa``, and those whose module b the fast test
-        cannot prove, each ascending per module.  Every other one gives a
+    def overlap(self, merged: dict[int, int], size: int, route: int, kappa: int):
+        """(pruned, sent): of the extensions in ``split``'s ``route`` bitset
+        (those that share a module with the prefix, are not weak, and fail
+        no prefix mask of a module they do not share), the indices whose
+        union size is below ``kappa``, and those some shared module of which
+        the fast test cannot prove, each ascending.  Every other one gives a
         subset that ``ModularChecker.connected`` proves connected."""
         footprints, derive, sizes = self._footprints, self._derive, self.sizes
         reaches_core = self.checker.reaches_core
+        # module -> the prefix's inner mask there, 0 where it touches none
+        held_at = [0] * self.checker.module_count
         tmask = 0
-        for b in merged:
+        for b, held in merged.items():
             tmask |= 1 << b
+            held_at[b] = held
         pruned, sent = [], []
-        for b, bits in shared.items():
-            held = merged[b]
-            for i in _members(bits):
-                fp = footprints.get(i)
-                if fp is None:
-                    fp = footprints[i] = derive(i)
-                inner, touched = 0, tmask
-                for c, x in fp:
-                    touched |= 1 << c
-                    if c == b:
-                        inner = x
-                # the two vertex sets meet only in module b
-                if size + sizes[i] - (held & inner).bit_count() < kappa:
-                    pruned.append(i)
-                elif not reaches_core(b, held | inner, touched):
+        for i in _members(route):
+            fp = footprints.get(i)
+            if fp is None:
+                fp = footprints[i] = derive(i)
+            # the two vertex sets meet only in the shared modules
+            union, touched = size + sizes[i], tmask
+            for c, inner in fp:
+                touched |= 1 << c
+                union -= (held_at[c] & inner).bit_count()
+            if union < kappa:
+                pruned.append(i)
+                continue
+            for c, inner in fp:
+                if held_at[c] and not reaches_core(c, held_at[c] | inner, touched):
                     sent.append(i)
+                    break
         return pruned, sent
 
 
@@ -541,48 +527,41 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
     bulk (``_SweepTable.split``).  The fast test of ``connected`` proves a
     subset iff its module set T = T_P | T_i misses a module and every
     component of every touched module has a reach mask R that meets ~T.
+    Let S = T_P & T_i be the modules that i shares with P.
 
-    *Disjoint extensions.*  When T_i and T_P are disjoint, so are the vertex
-    sets, and the merged footprint is P's plus i's: the union size is the
-    sum of the two sizes, and the fast test proves the subset iff
-    |T_P| + |T_i| < M and every reach mask R, of P's components and of
-    i's, meets ~T.  For R of P that fails exactly when i touches every
-    module of R & ~T_P; for R of i it fails only if i is *weak*,
-    |R & ~T_i| <= |T_P|.  Every i with |T_P| + |T_i| >= M is weak (R & ~T_i
-    then lies in the M - |T_i| <= |T_P| modules outside T_i), or keeps no
-    component and is counted weak.  So each disjoint extension is pruned or
-    proven by bit operations on whole candidate sets, unless a prefix mask
-    fails on it or it is weak.
+    The vertex sets meet only in S, so the union size is
+    |P| + |i| - sum over c in S of |P_c & i_c|; with S empty that is the
+    sum of the two sizes, and ``split`` prunes in bulk, otherwise
+    ``_SweepTable.overlap`` prunes i when the union is below ``kappa``.
+    Otherwise take the merged footprint module by module.  A module b of
+    T_P outside S holds P's components alone; a reach mask R of one meets
+    ~T unless i touches every module of R & ~T_P, which is that prefix
+    mask failing on i.  A module of T_i outside S holds i's components
+    alone, and one of their reach masks R can miss ~T only if
+    |R & ~T_i| <= |T_P|, as T_P has |T_P| modules.  i is *weak* when some
+    reach mask of its own components, in any module of T_i, has
+    |R & ~T_i| <= |T_P|.  T misses a module unless i is weak: were
+    |T_P| + |T_i| >= M, every reach mask of i would have
+    |R & ~T_i| <= M - |T_i| <= |T_P|, or i keeps no component and is
+    counted weak.  A module c of S holds the components of module c minus
+    P_c | i_c, and the fast test asks of it the one per-module test
+    ``ModularChecker.reaches_core`` that ``connected`` asks itself.  So
+    when i is not weak and fails no prefix mask of a module outside S, the
+    fast test passes iff ``reaches_core`` passes for every c in S, and then
+    ``connected`` proves the subset: with S empty ``split`` proves i in
+    bulk, and otherwise ``overlap`` asks each c in S.
 
-    *The overlap route* (``_SweepTable.overlap``).  Let T_i and T_P share
-    exactly one module b, let i not be weak, and let no prefix mask of a
-    module other than b fail on i.  The vertex sets meet only in module b,
-    so the union size is |P| + |i| - |P_b & i_b|, and i is pruned if that
-    is below ``kappa``.  Otherwise take the merged footprint module by
-    module.  A module of T_P other than b holds P's components alone, whose
-    reach masks meet ~T because no prefix mask of that module fails on i.
-    A module of T_i other than b holds i's components alone, and i is not
-    weak, so each of their reach masks has |R & ~T_i| > |T_P| and meets
-    ~T.  T misses a module: were |T_P| + |T_i| - 1 >= M, every reach mask
-    of i would have |R & ~T_i| <= M - |T_i| < |T_P|, so i would be weak
-    (or, keeping no component, counted weak).  So ``connected``'s fast test
-    passes iff every component of module b minus P_b | i_b has a reach mask
-    that meets ~T, apex case included, which is the one per-module test
-    ``ModularChecker.reaches_core`` that ``connected`` asks itself; when it
-    passes, ``connected`` proves the subset.
-
-    Every other extension is slow: the disjoint ones not settled in bulk;
-    overlapping ones that share two or more modules with P, are weak, or
-    fail a prefix mask of a module other than the shared one; and those
-    whose module b the overlap route cannot prove.  They go, in ascending
-    order, through the per-subset route: union recount and merged
-    footprint in one pass over the extension's pairs, the checker with the
-    merged footprint, then the census with the label list.  No
-    disconnecting subset is skipped, because every skipped subset is one
-    that ``connected`` proves, and the first census hit is the same.  The
-    counts stay exact: a hit at i has examined i - start + 1 extensions of
-    its prefix, and pruned the slow prunes plus the bulk and overlap-route
-    prunes below i.  Without a checker every extension is slow.
+    Every other extension is slow: those that are weak or fail a prefix
+    mask of a module outside S, and those some shared module of which
+    ``overlap`` cannot prove.  They go, in ascending order, through the
+    per-subset route: union recount and merged footprint in one pass over
+    the extension's pairs, the checker with the merged footprint, then the
+    census with the label list.  No disconnecting subset is skipped,
+    because every skipped subset is one that ``connected`` proves, and the
+    first census hit is the same.  The counts stay exact: a hit at i has
+    examined i - start + 1 extensions of its prefix, and pruned the slow
+    prunes plus the bulk and overlap prunes below i.  Without a checker
+    every extension is slow.
     """
     footprint = table.footprint
     count = len(table.keys)
@@ -601,8 +580,8 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
         if proves is None:
             bulk_pruned, route_pruned, slow = 0, (), range(start, count)
         else:
-            bulk_pruned, bits, shared = table.split(merged, size, start, kappa)
-            route_pruned, sent = table.overlap(merged, size, shared, kappa) if shared else ((), ())
+            bulk_pruned, bits, route = table.split(merged, size, start, kappa)
+            route_pruned, sent = table.overlap(merged, size, route, kappa) if route else ((), ())
             slow = sorted([*_members(bits), *sent]) if sent else _members(bits)
         slow_pruned = 0
         for i in slow:

@@ -277,16 +277,16 @@ def _prefixes(footprints, t):
 # removed inner mask (0 where every level is wholly pruned and the table
 # keeps no checker), 1,144 in all; the number of candidates whose footprint
 # its sweep reads, 5,076 of 35,136 in all; and the number of
-# ``ModularChecker.connected`` queries its sweep makes, 927 in all
+# ``ModularChecker.connected`` queries its sweep makes, 267 in all
 TABLE_CALLS = {
     (1, SUBSTRUCTURE, 2): (0, 0, 0),
-    (2, STRUCTURE, 2): (112, 368, 34),
-    (3, STRUCTURE, 2): (132, 464, 79),
-    (4, STRUCTURE, 2): (84, 272, 28),
-    (2, SUBSTRUCTURE, 2): (112, 494, 45),
-    (3, SUBSTRUCTURE, 2): (164, 958, 177),
-    (4, SUBSTRUCTURE, 2): (180, 1230, 273),
-    (5, SUBSTRUCTURE, 2): (180, 1290, 291),
+    (2, STRUCTURE, 2): (112, 368, 7),
+    (3, STRUCTURE, 2): (132, 464, 25),
+    (4, STRUCTURE, 2): (84, 272, 7),
+    (2, SUBSTRUCTURE, 2): (112, 494, 9),
+    (3, SUBSTRUCTURE, 2): (164, 958, 57),
+    (4, SUBSTRUCTURE, 2): (180, 1230, 81),
+    (5, SUBSTRUCTURE, 2): (180, 1290, 81),
     (5, SUBSTRUCTURE, 1): (180, 0, 0),
 }
 
@@ -352,6 +352,11 @@ class TestSweep:
                 routes = [x.overlap(merged, size, splits[0][2], 5) for x in checked]
                 assert all(got == splits[0] for got in splits)
                 assert all(got == routes[0] for got in routes)
+                if splits:  # no extension counted twice, none outside the window
+                    pruned, slow, route = splits[0]
+                    assert not (pruned & slow or pruned & route or slow & route)
+                    window = ((1 << len(cands)) - 1) >> start << start
+                    assert (pruned | slow | route) & ~window == 0
             result = _sweep(_table(fdsc8, cands, t, use_modular=False), t, 5)
             assert _sweep(table, t, 5) == _sweep(wide, t, 5) == _sweep(huge, t, 5) == result
             hits.append(result[0] is not None)
@@ -447,8 +452,9 @@ class TestSweep:
 
     def test_checker_queries_per_call(self, fdsc8, monkeypatch):
         # the sweep asks ``connected`` only about the subsets that neither
-        # the bulk split nor the overlap route decides: 927 over the nine
-        # calls, against 39,202 with every overlapping extension queried.
+        # the bulk split nor the overlap route decides: 267 over the nine
+        # calls, against 39,202 with every overlapping extension queried
+        # and 927 with those that share two or more modules queried.
         # Examined and pruned are those of the parent sweep
         calls = []
         real = modcheck.ModularChecker.connected
@@ -464,7 +470,7 @@ class TestSweep:
             result = exact_structure_connectivity(fdsc8, m, mode, budget)
             assert len(calls) == queries, (m, mode, budget)
             counts.append((result.examined, result.pruned))
-        assert sum(queries for _, _, queries in TABLE_CALLS.values()) == 927
+        assert sum(queries for _, _, queries in TABLE_CALLS.values()) == 267
         assert counts == [
             (401_856, 401_856),
             (21_191, 2_143),
@@ -493,12 +499,23 @@ class TestSweep:
         assert made == result.certificate.elements
 
     @pytest.mark.slow
-    def test_closed_neighborhoods_t3(self, fdsc8):
+    def test_closed_neighborhoods_t3(self, fdsc8, monkeypatch):
         # no three closed neighborhoods (K_{1,5} stars) disconnect FDSC_8;
-        # every triple reaches kappa = 5, so none is pruned
+        # every triple reaches kappa = 5, so none is pruned, and the bulk
+        # split and the overlap route prove every one: the checker is never
+        # asked (90,268 times while only one shared module was routed)
+        calls = []
+        real = modcheck.ModularChecker.connected
+
+        def counting(self, touched):
+            calls.append(len(touched))
+            return real(self, touched)
+
+        monkeypatch.setattr(modcheck.ModularChecker, "connected", counting)
         result = exact_structure_connectivity(fdsc8, 5, STRUCTURE, 3)
         assert (result.value, result.proven_lower_bound, result.candidates) == (None, 4, 256)
         assert (result.examined, result.pruned) == (2_796_416, 0)
+        assert calls == []
 
     def test_wholly_pruned_levels_are_counted(self, fdsc8, monkeypatch):
         # vertices and edges have at most 2 vertices, so t <= 2 of them
@@ -646,7 +663,7 @@ def _slow_reasons(checker, footprints, prefix, i):
     """Why extension i of ``prefix`` must go to the per-subset route, worked
     out per candidate with sets: an empty set means that ``connected``
     proves the subset when i shares no module with the prefix, and that the
-    overlap route takes i when it shares one.  The shared module's own
+    overlap route takes i when it shares some.  A shared module's own
     components are the union's, which the route tests, so no reason is read
     from the prefix's components there."""
     merged = {}
@@ -656,8 +673,6 @@ def _slow_reasons(checker, footprints, prefix, i):
     prefix_modules = sum(1 << b for b in merged)
     own_modules = sum(1 << b for b, _ in footprints[i])
     shared = prefix_modules & own_modules
-    if shared.bit_count() > 1:
-        return {"shared modules"}
     reasons = set()
     if (prefix_modules | own_modules).bit_count() >= checker.module_count:
         reasons.add("wide")
@@ -681,43 +696,41 @@ def _slow_reasons(checker, footprints, prefix, i):
     return reasons
 
 
-def _route_agrees(table, prefix, merged, size, shared, kappa):
-    """Check ``_SweepTable.overlap`` on each extension i that ``split``'s
-    ``shared`` gives it: i shares exactly its module b with the prefix; the
-    route's union size is the recount of the labels (i is kept at kappa =
-    the recount and pruned at the recount + 1, asked of the extensions of
-    one recount at once); i is pruned iff that is below ``kappa``;
-    otherwise the route proves i iff ``connected``'s fast test passes on the
-    merged footprint (some module untouched, and no ``fails_fast_test``),
-    and then ``connected`` answers True.
-    Returns the numbers of extensions pruned and proven."""
+def _route_agrees(table, prefix, merged, size, route, kappa):
+    """Check ``_SweepTable.overlap`` on each extension i of ``split``'s
+    ``route`` bitset: i shares some module with the prefix; the route's
+    union size is the recount of the labels (i is kept at kappa = the
+    recount and pruned at the recount + 1, asked of the extensions of one
+    recount at once); i is pruned iff that is below ``kappa``; otherwise
+    the route proves i iff ``connected``'s fast test passes on the merged
+    footprint (some module untouched, and no ``fails_fast_test``), and then
+    ``connected`` answers True.  Returns i -> "pruned", "proven" or "sent"."""
     checker, keys = table.checker, table.keys
-    pruned, sent = map(set, table.overlap(merged, size, shared, kappa))
+    pruned, sent = map(set, table.overlap(merged, size, route, kappa))
     held = {v for k in prefix for v in keys.vertices(k)}
-    by_union = {}  # (b, recount) -> bitset of the extensions
-    decided = [0, 0]
-    for b, bits in shared.items():
-        for i in _members(bits):
-            fp = table.footprint(i)
-            assert set(merged) & {c for c, _ in fp} == {b}
-            union = len(held.union(keys.vertices(i)))
-            by_union[b, union] = by_union.get((b, union), 0) | 1 << i
-            assert (i in pruned) == (union < kappa)
-            if i in pruned:
-                decided[0] += 1
-                continue
-            touched = dict(merged)
-            for c, inner in fp:
-                touched[c] = touched.get(c, 0) | inner
-            fast = len(touched) < checker.module_count and not fails_fast_test(checker, touched)
-            assert (i not in sent) == fast, (prefix, i)
-            if fast:
-                assert checker.connected(touched) is True
-                decided[1] += 1
-    for (b, union), bits in by_union.items():
-        assert table.overlap(merged, size, {b: bits}, union)[0] == []
-        assert table.overlap(merged, size, {b: bits}, union + 1)[0] == list(_members(bits))
-    return decided
+    by_union = {}  # recount -> bitset of the extensions
+    outcomes = {}
+    for i in _members(route):
+        fp = table.footprint(i)
+        assert set(merged) & {c for c, _ in fp}
+        union = len(held.union(keys.vertices(i)))
+        by_union[union] = by_union.get(union, 0) | 1 << i
+        assert (i in pruned) == (union < kappa)
+        if i in pruned:
+            outcomes[i] = "pruned"
+            continue
+        touched = dict(merged)
+        for c, inner in fp:
+            touched[c] = touched.get(c, 0) | inner
+        fast = len(touched) < checker.module_count and not fails_fast_test(checker, touched)
+        assert (i not in sent) == fast, (prefix, i)
+        if fast:
+            assert checker.connected(touched) is True
+        outcomes[i] = "proven" if fast else "sent"
+    for union, bits in by_union.items():
+        assert table.overlap(merged, size, bits, union)[0] == []
+        assert table.overlap(merged, size, bits, union + 1)[0] == list(_members(bits))
+    return outcomes
 
 
 class TestOverlapRoute:
@@ -730,13 +743,13 @@ class TestOverlapRoute:
         ``keys``, on the table built for budget t; return the numbers of
         extensions the route pruned and proved."""
         table = _table(fdsc8, keys, t)
-        decided = [0, 0]
+        decided = {"pruned": 0, "proven": 0, "sent": 0}
         prefixes = itertools.islice(_prefixes(_footprints(table), t), 0, None, every)
         for prefix, merged, size, start in prefixes:
-            _, _, shared = table.split(merged, size, start, 5)
-            for total, got in enumerate(_route_agrees(table, prefix, merged, size, shared, 5)):
-                decided[total] += got
-        return decided
+            _, _, route = table.split(merged, size, start, 5)
+            for got in _route_agrees(table, prefix, merged, size, route, 5).values():
+                decided[got] += 1
+        return decided["pruned"], decided["proven"]
 
     @pytest.mark.parametrize("m,mode,every", [(2, STRUCTURE, 7), (5, SUBSTRUCTURE, 97)])
     def test_t2_prefixes_sampled(self, m, mode, every, fdsc8):
@@ -777,29 +790,29 @@ class TestBulkSplit:
         extension, on a table built for budget t and on one built for budget
         3, and check the overlap route on the extensions it takes
         (``_route_agrees``); compare the sweep on both tables with the
-        census-only route.  Returns the reasons met and the extensions
-        routed, both by (prefix, extension), and the sweep's result."""
+        census-only route.  Returns the reasons met and the route's outcome
+        for each extension it takes, both by (prefix, extension), and the
+        sweep's result."""
         keys = _keys_of(cands)
         table, wide = _table(fdsc8, keys, t), _table(fdsc8, keys, 3)
         checker, footprints = table.checker, _footprints(table)
-        met, routed = {}, set()
+        met, routed = {}, {}
         for prefix, merged, size, start in _prefixes(footprints, t):
-            pruned, slow, shared = table.split(merged, size, start, self.KAPPA)
-            assert wide.split(merged, size, start, self.KAPPA) == (pruned, slow, shared)
-            _route_agrees(table, prefix, merged, size, shared, self.KAPPA)
+            pruned, slow, route = table.split(merged, size, start, self.KAPPA)
+            assert wide.split(merged, size, start, self.KAPPA) == (pruned, slow, route)
+            outcomes = _route_agrees(table, prefix, merged, size, route, self.KAPPA)
             for i in range(start, len(cands)):
                 reasons = _slow_reasons(checker, footprints, prefix, i)
                 common = set(merged) & {b for b, _ in footprints[i]}
                 small = not common and size + len(cands[i].vertices) < self.KAPPA
-                takes = [b for b, bits in shared.items() if bits >> i & 1]
-                assert takes == (sorted(common) if len(common) == 1 and not reasons else [])
-                assert (pruned >> i & 1, slow >> i & 1) == (
+                assert (pruned >> i & 1, slow >> i & 1, route >> i & 1) == (
                     small,
                     bool(reasons) and not small,
+                    bool(common) and not reasons,
                 )
                 met[prefix, i] = reasons
-                if takes:
-                    routed.add((prefix, i))
+                if i in outcomes:
+                    routed[prefix, i] = outcomes[i]
         hit = _sweep(table, t, self.KAPPA)
         assert hit == _sweep(wide, t, self.KAPPA)
         assert hit == _sweep(_table(fdsc8, keys, t, use_modular=False), t, self.KAPPA)
@@ -810,16 +823,38 @@ class TestBulkSplit:
         met, routed, hit = self.split_agrees(
             fdsc8, [star(0x10, [0x50]), star(0x20, [0x60, 0x70])], 2
         )
-        assert met[(0,), 1] == set() and routed == {((0,), 1)}
+        assert met[(0,), 1] == set() and routed == {((0,), 1): "proven"}
         assert hit == (None, 1, 0)
 
     def test_two_shared_modules(self, fdsc8):
-        # sharing modules 0 and 1 sends the extension to the checker
+        # the two stars share modules 0 and 1: the overlap route proves them
         met, routed, hit = self.split_agrees(
             fdsc8, [star(0x10, [0x51]), star(0x20, [0x30, 0x61])], 2
         )
-        assert met[(0,), 1] == {"shared modules"} and not routed
+        assert met[(0,), 1] == set() and routed == {((0,), 1): "proven"}
         assert hit == (None, 1, 0)
+
+    def test_second_shared_module_fails(self, fdsc8):
+        # the stars share modules 2 and 5; together they remove inner labels
+        # 0, 3, 7 and 11 of module 5, which isolates its inner label 15,
+        # whose partner, label 0x5F in module 15, the extension removes.
+        # Module 2, first in the extension's footprint and the lower, passes;
+        # module 5 fails, so the route leaves it to the checker and the
+        # census finds the cut
+        cands = [star(0x12, [0x05, 0x35]), star(0x22, [0x75, 0xB5, 0x5F])]
+        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == set() and routed == {((0,), 1): "sent"}
+        assert hit == ((0, 1), 1, 0)
+
+    def test_prune_on_two_overlaps(self, fdsc8):
+        # the stars meet in label 0x10 of module 0 and label 0x01 of module
+        # 1: their union has 3 + 3 - 2 = 4 labels, below kappa, and only
+        # with both overlaps subtracted
+        met, routed, hit = self.split_agrees(
+            fdsc8, [star(0x10, [0x01, 0x20]), star(0x01, [0x10, 0x30])], 2
+        )
+        assert met[(0,), 1] == set() and routed == {((0,), 1): "pruned"}
+        assert hit == (None, 1, 1)
 
     def test_prefix_component_with_no_reach_left(self, fdsc8):
         # the prefix isolates inner label 15 of module 0 and touches module
@@ -873,6 +908,16 @@ class TestBulkSplit:
         assert met[(0,), 1] == {"covered"} and not routed
         assert hit == ((0, 1), 1, 0)
 
+    def test_prefix_mask_of_a_shared_module(self, fdsc8):
+        # the prefix cuts off inner label 15 of module 0, whose reach,
+        # module 15, the extension touches; but the extension shares module
+        # 0 and removes that label itself, so module 0 is tested on the
+        # union, not on the prefix's mask: the route proves it
+        cands = [star(0, [48, 112, 176]), star(0xF0, [0x1F])]
+        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == set() and routed == {((0,), 1): "proven"}
+        assert hit == (None, 1, 0)
+
     def test_overlap_through_the_apex_edge(self, fdsc8):
         # the prefix and the extension remove all of module 3 but inner
         # labels 3 and 5, which are not adjacent, and each alone leaves
@@ -885,7 +930,7 @@ class TestBulkSplit:
         rest = [(x << 4) | 3 for x in (0, 1, 2, 4, 6, 8, 12)]
         cands = [star(half[0], half[1:]), star(half[0], [*half[1:], 0xCC]), star(rest[0], rest[1:])]
         met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert routed == {((0,), 1), ((0,), 2), ((1,), 2)}
+        assert routed == {((0,), 1): "proven", ((0,), 2): "proven", ((1,), 2): "sent"}
         assert hit == ((1, 2), 3, 0)
 
     def test_route_prune_after_the_hit_is_not_counted(self, fdsc8):
@@ -894,7 +939,7 @@ class TestBulkSplit:
         # route prunes it, after the hit, so it is not counted
         cands = [star(0, [48, 112, 176]), star(15), star(0)]
         met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert routed == {((0,), 2)}
+        assert routed == {((0,), 2): "pruned"}
         assert hit == ((0, 1), 1, 0)
 
     def test_all_modules_touched(self, fdsc8):
@@ -911,7 +956,7 @@ class TestBulkSplit:
         and_one = star(0, [*range(16, 256, 16), 1])
         met, routed, hit = self.split_agrees(fdsc8, [rest, and_one, whole_module, star(0x20)], 2)
         assert met[(0,), 1] == met[(0,), 2] == met[(0,), 3] == {"wide", "weak"}
-        assert routed == {((1,), 3), ((2,), 3)}
+        assert routed == {((1,), 3): "proven", ((2,), 3): "proven"}
         # nothing survives the first pair, which the census counts as cut
         assert hit == ((0, 1), 1, 0)
 
