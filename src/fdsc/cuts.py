@@ -289,9 +289,10 @@ def family_from_json(obj: dict, dim: Dim) -> FaultFamily:
     """Read a family in the shape ``family_to_json`` writes.
 
     Only the keys ``mode``, ``m``, ``elements`` (top level) and ``center``,
-    ``leaves`` (per element) are accepted, and ``elements`` and ``leaves``
-    must be lists, so a misspelled key or a string of leaves is refused
-    instead of silently describing another family.
+    ``leaves`` (per element) are accepted, ``elements`` and ``leaves`` must
+    be lists, and every label a string, so a misspelled key, a string of
+    leaves or a list of digits is refused instead of silently describing
+    another family.
     """
     try:
         mode = obj["mode"]
@@ -319,10 +320,13 @@ def family_from_json(obj: dict, dim: Dim) -> FaultFamily:
                 f"malformed family JSON: leaves must be a list, got {raw_leaves!r}"
             )
         try:
-            center = parse_label(entry["center"], dim)
-            leaves = [parse_label(text, dim) for text in raw_leaves]
-        except (KeyError, TypeError) as exc:
+            texts = [entry["center"], *raw_leaves]
+        except KeyError as exc:
             raise ParameterError(f"malformed family JSON: {exc}") from exc
+        for text in texts:
+            if not isinstance(text, str):
+                raise ParameterError(f"malformed family JSON: label {text!r} is not a string")
+        center, *leaves = [parse_label(text, dim) for text in texts]
         elements.append(star(center, leaves))
     return FaultFamily(elements=elements, pattern_m=m, mode=mode)
 

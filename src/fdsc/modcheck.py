@@ -35,9 +35,11 @@ disconnected, and the plain census confirms every such case, so every
 disconnecting set is found by the census.  The fast test for one touched
 module is one method, ``reaches_core``, which ``connected`` asks of every
 touched module.  The oracle's sweep applies the fast test to whole sets of
-candidates at once, through ``reach``, and asks ``reaches_core`` of each
-module an extension shares with its prefix, so neither can drift apart
-from ``connected``.
+candidates at once, through the ``reach`` masks of a prefix and the
+component sizes of a candidate (a component of C labels in module b has
+a reach mask of at least C - 1 modules), and asks ``reaches_core`` of
+each module an extension shares with its prefix, so neither can drift
+apart from ``connected``.
 
 The facts this argument leans on are not assumed: the constructor proves
 them for the exact dimension in use and raises if any fails.  The module
@@ -57,14 +59,17 @@ A query is a *footprint* (``footprint``): the removed set split once into
 its modules, each with the mask of its removed inner labels.  The sweeps
 split a candidate's labels only when they first read its footprint, and
 merge footprints per subset, so no label is split twice; their table's
-bulk facts come from ``components`` and ``reach`` per removed inner mask.
-``SurvivorCheck`` splits label lists for everyone else.
+bulk facts come from ``components`` per removed inner mask, and ``reach``
+per prefix.  ``SurvivorCheck`` splits label lists for everyone else.
 
 ``SurvivorCheck`` is the one "is the survivor graph connected" entry point
-that the oracle's sweeps and probes call: it decides when the checker
-applies (FDSC_n with n >= 8) and falls back to a plain component census
-whenever the checker abstains, which confirms the disconnection or
-decides a query that touches every module.
+for label lists, which the oracle's sampled removal check and probes
+call: it decides when the checker applies (FDSC_n with n >= 8) and falls
+back to a plain component census whenever the checker abstains, which
+confirms the disconnection or decides a query that touches every module.
+The family sweeps take their checker from it (``SurvivorCheck.checker``)
+but ask ``connected`` with merged footprints and run the census
+themselves on every subset it does not prove connected.
 """
 
 from __future__ import annotations

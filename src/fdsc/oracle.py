@@ -58,23 +58,21 @@ all modules touched, and every component's reach mask meets an untouched
 module) reads only facts about the prefix and about the extension alone.
 So the sweep settles them in bulk, with bit operations on candidate-index
 bitsets (``_SweepTable.split``): an extension is pruned when the two union
-sizes add up to less than the bound, and proven when neither a reach mask
-of the prefix nor one of the extension can fail.  An extension that
-shares modules with the prefix is settled by the same rule
-(``_SweepTable.overlap``) when neither its own reach nor a prefix mask of
-a module it does not share can fail: only the shared modules' components
-change, so it is pruned on |P| + |i| minus the overlap of the prefix's
-merged mask and its own in each shared module, and proven when each
-shared module c minus P_c | i_c passes the one per-module test that
-``connected`` asks of every touched module
-(``ModularChecker.reaches_core``).  Only the rest (weak extensions, those
-a prefix mask of a module they do not share fails on, and those a shared
-module of which fails) go to the checker, one merged footprint at a time,
-which decides every one that leaves a module intact, and then to the
-census; over the nine ``oracle-table-n8`` calls that is 267 queries.
-Every skipped subset is one that ``connected`` proves, so the first census
-hit, the certificate and the counts are those of asking the checker about
-every subset.
+sizes add up to less than the bound, and proven when no prefix reach mask
+fails on it and it is not *weak*, which is read from component sizes
+alone: a component of C labels reaches at least C - |T_i| modules outside
+the extension's own module set T_i.  Every other extension is settled in
+one ascending pass (``_SweepTable.visit``): it is pruned when the prefix's
+size plus its own, less their overlap in each shared module, is below the
+bound; one that is neither weak nor failed by a prefix mask is proven when
+each module c it shares passes, minus P_c | i_c, the one per-module test
+that ``connected`` asks of every touched module
+(``ModularChecker.reaches_core``); the rest go to the checker, one merged
+footprint at a time, which decides every one that leaves a module intact,
+and then to the census.  Over the nine ``oracle-table-n8`` calls that is
+267 queries.  Every skipped subset is one that ``connected`` proves, so
+the first census hit, the certificate and the counts are those of asking
+the checker about every subset.
 
 Faults have one vocabulary, the ``FaultFamily``: a vertex is a 0-leaf
 star and an edge a 1-leaf star, so a mix of vertex and edge removals is a
@@ -122,6 +120,12 @@ def reference_value(d: int, m: int, mode: str) -> int | None:
     with 2 <= m <= d+1 leaves: floor(d/2)+1 (both modes); substructure
     additionally keeps that value at m = d+2.  Returns None outside the
     known range.
+
+    At d = 2 the single-edge value differs from the paper: the abstract
+    states d+1 for every d >= 1, which is 3, but the exhaustive oracle
+    proves 2 with the certificate {0000-1100, 0111-1011}
+    (``fdsc oracle --d 2 --m 1 --budget 3``), and this table holds the
+    proven value.
     """
     if m == 0:
         return d + 2
@@ -299,17 +303,16 @@ class _SweepTable:
     indices computed run by run of equal centers: each candidate's size
     and, with a ``checker``, candidate-index bitsets (bit k for candidate
     k) that settle a prefix's module-disjoint extensions in bulk and pick
-    out the overlapping ones that ``overlap`` settles.  The checker is
-    dropped, and no bitset built, when every level up to ``budget`` is
-    wholly pruned.  A candidate's footprint, its vertex set split into
-    (module, inner mask) pairs as ``modcheck.footprint`` splits it, is
-    derived from its key when the sweep (``footprint``) or ``overlap``
-    first reads it, and kept: the nine ``oracle-table-n8`` calls
-    read 5,076 of their 35,136 candidates' footprints, and a call whose
-    levels are wholly pruned, or that needs one level and proves it in
-    bulk, reads none.  The table holds no ``Star``: the census reads its
-    labels from the keys (``_Keys.vertices``), and only the certificate's
-    stars are made.
+    out those that ``visit`` settles.  The checker is dropped, and no
+    bitset built, when every level up to ``budget`` is wholly pruned.  A
+    candidate's footprint, its vertex set split into (module, inner mask)
+    pairs as ``modcheck.footprint`` splits it, is derived from its key when
+    the sweep (``footprint``) or ``visit`` first reads it, and kept: the
+    nine ``oracle-table-n8`` calls read 5,076 of their 35,136 candidates'
+    footprints, and a call whose levels are wholly pruned, or that needs
+    one level and proves it in bulk, reads none.  The table holds no
+    ``Star``: the census reads its labels from the keys
+    (``_Keys.vertices``), and only the certificate's stars are made.
 
     A key's size is 1 + the popcount of its leaf mask, because its row
     holds neither its center nor a repeated entry; the table checks that
@@ -317,22 +320,15 @@ class _SweepTable:
     T_i: ``smaller[s]`` holds the candidates with fewer than s vertices,
     ``touches[b]`` those that touch module b (every run of a center in
     module b, and every candidate whose mask meets a row position in
-    module b), and ``weak[w]`` those whose weakest reach min |R & ~T_i|,
-    over the reach masks R of their own components, is at most w.  A
-    candidate with no component left counts as weakest reach 0.  A
-    prefix's module set T_P has at most min((budget - 1) * max|T_i|, M)
-    modules, so no ``weak`` row past that cap is built, and ``touches``
-    only when budget > 1.
-
-    Only candidates with a small component get their weakest reach
-    computed, from their footprint and one ``reach`` call per pair.  A
-    component M of module b has the reach mask
-    R = (M & ~(1 << b)) | (bit ~b, if b is in M), so R lacks b and
-    |R| >= |M| - 1; since b is in T_i, |R & ~T_i| >= |R| - (|T_i| - 1)
-    >= |M| - |T_i|.  So a candidate each of whose components has more than
-    ``weak_cap`` + |T_i| labels is in no ``weak`` row.  The smallest
+    module b), and ``weak[w]`` those some own component of which has at
+    most w + |T_i| labels; a candidate that leaves a touched module no
+    component is in every row.  A prefix's module set T_P has at most
+    min((budget - 1) * max|T_i|, M) modules, so no ``weak`` row past that
+    cap is built, and ``touches`` only when budget > 1.  The smallest
     component per removed inner mask is read from ``checker.components``
-    once per distinct mask, into a dict that lives for the build.
+    once per distinct mask, into a dict that lives for the build; no
+    ``reach`` mask is read for a candidate (``_sweep`` has why the sizes
+    suffice).
     """
 
     def __init__(self, keys: _Keys, g: Graph, checker, budget: int, kappa: int):
@@ -392,24 +388,9 @@ class _SweepTable:
                 margin.append(smallest - width if smallest > width else 0)
         self.full = (1 << count) - 1
         self.widest = widest
-        self.reach = reach = checker.reach
+        self.reach = checker.reach
         weak_cap = min((budget - 1) * widest, modules)
-        weak_at: list[list[int]] = [[] for _ in range(weak_cap + 1)]
-        for k in _members(_bits_below(margin, weak_cap + 1)):
-            fp = self._derive(k)
-            outside = -1
-            for b, _ in fp:
-                outside ^= 1 << b
-            counts = [(r & outside).bit_count() for b, inner in fp for r in reach(b, inner)]
-            weakest = min(counts, default=0)
-            if weakest <= weak_cap:
-                weak_at[weakest].append(k)
-        digits = bytearray(b"0") * count
-        self.weak = []
-        for ks in weak_at:
-            for k in ks:
-                digits[k] = 0x31
-            self.weak.append(_bitset(digits))
+        self.weak = [_bits_below(margin, w + 1) for w in range(weak_cap + 1)]
         self.smaller = [_bits_below(sizes, s) for s in range(max(sizes, default=0) + 2)]
         self.touches = []
         for b in range(modules if touching else 0):
@@ -441,14 +422,14 @@ class _SweepTable:
         return fp
 
     def split(self, merged: dict[int, int], size: int, start: int, kappa: int):
-        """(pruned, slow, route): of the candidates in [start, count) that
+        """(pruned, held, route): of the candidates in [start, count) that
         extend the prefix with merged footprint ``merged`` and union size
         ``size``, the bitset of those that share no module with the prefix
         and that the union prune skips, the bitset of those that are weak or
         that a prefix reach mask of a module they do not share fails on,
         and the bitset of the other ones that share a module with the
-        prefix, which ``overlap`` settles.  Every other candidate in the
-        range gives a subset that ``ModularChecker.connected`` proves
+        prefix.  ``visit`` settles the last two; every other candidate in
+        the range gives a subset that ``ModularChecker.connected`` proves
         connected.  The three bitsets are disjoint."""
         window = self.full >> start << start
         touches = self.touches
@@ -459,13 +440,11 @@ class _SweepTable:
         # disjoint modules mean disjoint vertices: the union size is a sum
         short = min(max(kappa - size, 0), len(self.smaller) - 1)
         pruned = window & ~overlap & self.smaller[short]
-        # |T_P| + |T_i| >= M needs no test of its own: R & ~T_i then lies in
-        # the M - |T_i| <= |T_P| modules outside T_i, so i is weak
         held = self.weak[len(merged)]
         # a reach mask R' = R & ~T_P of a prefix module b fails on exactly
         # the candidates that touch every module of R', which needs
         # |R'| <= max|T_i|; a candidate that shares b has module b's
-        # components tested by ``overlap`` instead
+        # components tested by ``visit`` instead
         for b, removed in merged.items():
             for r in self.reach(b, removed):
                 r &= ~tmask
@@ -477,23 +456,23 @@ class _SweepTable:
         rest = window & ~pruned
         return pruned, rest & held, rest & overlap & ~held
 
-    def overlap(self, merged: dict[int, int], size: int, route: int, kappa: int):
-        """(pruned, sent): of the extensions in ``split``'s ``route`` bitset
-        (those that share a module with the prefix, are not weak, and fail
-        no prefix mask of a module they do not share), the indices whose
-        union size is below ``kappa``, and those some shared module of which
-        the fast test cannot prove, each ascending.  Every other one gives a
-        subset that ``ModularChecker.connected`` proves connected."""
+    def visit(self, merged: dict[int, int], size: int, held: int, route: int, kappa: int):
+        """Settle the extensions in ``held | route`` of the prefix with
+        merged footprint ``merged`` and union size ``size``, in ascending
+        order: yield (i, None) for one whose union size is below ``kappa``;
+        prove, without a yield, one in ``route`` but not in ``held`` when
+        ``reaches_core`` passes for every module it shares with the prefix;
+        and yield (i, the subset's merged footprint) for every other one."""
         footprints, derive, sizes = self._footprints, self._derive, self.sizes
-        reaches_core = self.checker.reaches_core
+        reaches_core = self.checker.reaches_core if route else None
         # module -> the prefix's inner mask there, 0 where it touches none
-        held_at = [0] * self.checker.module_count
+        prior = [0] * (self.g.dim.module_mask + 1)
         tmask = 0
-        for b, held in merged.items():
+        for b, inner in merged.items():
             tmask |= 1 << b
-            held_at[b] = held
-        pruned, sent = [], []
-        for i in _members(route):
+            prior[b] = inner
+        kept = bin(held)[:1:-1]  # digit i is "1" iff i is in ``held``
+        for i in _members(held | route):
             fp = footprints.get(i)
             if fp is None:
                 fp = footprints[i] = derive(i)
@@ -501,15 +480,20 @@ class _SweepTable:
             union, touched = size + sizes[i], tmask
             for c, inner in fp:
                 touched |= 1 << c
-                union -= (held_at[c] & inner).bit_count()
+                union -= (prior[c] & inner).bit_count()
             if union < kappa:
-                pruned.append(i)
+                yield i, None
                 continue
+            if not held or kept[i : i + 1] != "1":
+                for c, inner in fp:
+                    if prior[c] and not reaches_core(c, prior[c] | inner, touched):
+                        break
+                else:
+                    continue
+            both = merged.copy()
             for c, inner in fp:
-                if held_at[c] and not reaches_core(c, held_at[c] | inner, touched):
-                    sent.append(i)
-                    break
-        return pruned, sent
+                both[c] = prior[c] | inner
+            yield i, both
 
 
 def _sweep(table: _SweepTable, t: int, kappa: int):
@@ -524,46 +508,47 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
     pruned without a visit.
 
     With a checker, the extensions i of each (t-1)-prefix P are split in
-    bulk (``_SweepTable.split``).  The fast test of ``connected`` proves a
+    bulk (``_SweepTable.split``) and the rest settled in one ascending pass
+    (``_SweepTable.visit``).  The fast test of ``connected`` proves a
     subset iff its module set T = T_P | T_i misses a module and every
     component of every touched module has a reach mask R that meets ~T.
-    Let S = T_P & T_i be the modules that i shares with P.
+    Let S = T_P & T_i be the modules that i shares with P, and M the module
+    count.
 
     The vertex sets meet only in S, so the union size is
-    |P| + |i| - sum over c in S of |P_c & i_c|; with S empty that is the
-    sum of the two sizes, and ``split`` prunes in bulk, otherwise
-    ``_SweepTable.overlap`` prunes i when the union is below ``kappa``.
-    Otherwise take the merged footprint module by module.  A module b of
-    T_P outside S holds P's components alone; a reach mask R of one meets
-    ~T unless i touches every module of R & ~T_P, which is that prefix
-    mask failing on i.  A module of T_i outside S holds i's components
-    alone, and one of their reach masks R can miss ~T only if
-    |R & ~T_i| <= |T_P|, as T_P has |T_P| modules.  i is *weak* when some
-    reach mask of its own components, in any module of T_i, has
-    |R & ~T_i| <= |T_P|.  T misses a module unless i is weak: were
-    |T_P| + |T_i| >= M, every reach mask of i would have
-    |R & ~T_i| <= M - |T_i| <= |T_P|, or i keeps no component and is
-    counted weak.  A module c of S holds the components of module c minus
-    P_c | i_c, and the fast test asks of it the one per-module test
-    ``ModularChecker.reaches_core`` that ``connected`` asks itself.  So
-    when i is not weak and fails no prefix mask of a module outside S, the
-    fast test passes iff ``reaches_core`` passes for every c in S, and then
-    ``connected`` proves the subset: with S empty ``split`` proves i in
-    bulk, and otherwise ``overlap`` asks each c in S.
+    |P| + |i| - sum over c in S of |P_c & i_c|: with S empty ``split``
+    prunes on the sum of the two sizes in bulk, and ``visit`` prunes every
+    other extension on the full formula.  Otherwise take the merged
+    footprint module by module.  i is *weak* unless every component of
+    its own, in every module of T_i, has more than |T_P| + |T_i| labels (so
+    one that leaves a touched module no component is weak).  A component C
+    of module b has the reach mask R = (C & ~(1 << b)) | (bit ~b, if b is
+    in C), so R lacks b and |R| >= |C| - 1, and as b is in T_i,
+    |R & ~T_i| >= |C| - |T_i|.  So when i is not weak, T misses a module,
+    as |T_P| + |T_i| < |C| < M (i removes a label of C's module), and a
+    module of T_i outside S, which holds i's components alone, passes:
+    each of their reach masks has |R & ~T_i| > |T_P| and meets ~T.  A
+    module b of T_P outside S holds P's components alone; a reach mask R
+    of one meets ~T unless i touches every module of R & ~T_P, which is
+    that prefix mask failing on i.  A module c of S holds the components
+    of module c minus P_c | i_c, and the fast test asks of it the one
+    per-module test ``ModularChecker.reaches_core`` that ``connected``
+    asks itself.  So when i is neither weak nor failed by a prefix mask of
+    a module outside S, the fast test passes iff ``reaches_core`` passes
+    for every c in S, and then ``connected`` proves the subset: with S
+    empty ``split`` proves i in bulk, and otherwise ``visit`` asks each c
+    in S.
 
-    Every other extension is slow: those that are weak or fail a prefix
-    mask of a module outside S, and those some shared module of which
-    ``overlap`` cannot prove.  They go, in ascending order, through the
-    per-subset route: union recount and merged footprint in one pass over
-    the extension's pairs, the checker with the merged footprint, then the
-    census with the label list.  No disconnecting subset is skipped,
-    because every skipped subset is one that ``connected`` proves, and the
-    first census hit is the same.  The counts stay exact: a hit at i has
-    examined i - start + 1 extensions of its prefix, and pruned the slow
-    prunes plus the bulk and overlap prunes below i.  Without a checker
-    every extension is slow.
+    Every other extension is slow: ``visit`` yields it, in ascending order,
+    with the merged footprint, for the checker and then the census with the
+    label list.  No disconnecting subset is skipped, because every skipped
+    subset is one that ``connected`` proves, and the first census hit is
+    the same.  The counts stay exact: a hit at i has examined i - start + 1
+    extensions of its prefix, and pruned the prunes ``visit`` yielded
+    before it plus the bulk prunes below i.  Without a checker every
+    extension of the window is held.
     """
-    footprint = table.footprint
+    footprint, visit = table.footprint, table.visit
     count = len(table.keys)
     if t * max(table.sizes, default=0) < kappa:
         total = math.comb(count, t)
@@ -578,31 +563,23 @@ def _sweep(table: _SweepTable, t: int, kappa: int):
         size = sum(inner.bit_count() for inner in merged.values())
         start = prefix[-1] + 1 if prefix else 0
         if proves is None:
-            bulk_pruned, route_pruned, slow = 0, (), range(start, count)
+            bulk, held, route = 0, (1 << count) - (1 << start), 0
         else:
-            bulk_pruned, bits, route = table.split(merged, size, start, kappa)
-            route_pruned, sent = table.overlap(merged, size, route, kappa) if route else ((), ())
-            slow = sorted([*_members(bits), *sent]) if sent else _members(bits)
-        slow_pruned = 0
-        for i in slow:
-            union, touched = size, merged.copy()
-            for b, inner in footprint(i):
-                held = touched.get(b, 0)
-                union += (inner & ~held).bit_count()
-                touched[b] = held | inner
-            if union < kappa:
-                slow_pruned += 1
+            bulk, held, route = table.split(merged, size, start, kappa)
+        skipped = 0
+        for i, touched in visit(merged, size, held, route, kappa):
+            if touched is None:
+                skipped += 1
                 continue
             if proves is not None and proves(touched):
                 continue
             combo = (*prefix, i)
             removed = [v for k in combo for v in table.keys.vertices(k)]
             if components_after_removal(table.g, removed).disconnected:
-                below = (bulk_pruned & ((1 << i) - 1)).bit_count()
-                below += sum(j < i for j in route_pruned)
-                return combo, examined + i - start + 1, pruned + slow_pruned + below
+                below = (bulk & ((1 << i) - 1)).bit_count()
+                return combo, examined + i - start + 1, pruned + skipped + below
         examined += count - start
-        pruned += slow_pruned + bulk_pruned.bit_count() + len(route_pruned)
+        pruned += skipped + bulk.bit_count()
     return None, examined, pruned
 
 

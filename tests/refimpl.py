@@ -4,9 +4,10 @@ The adjacency rules work on label strings: they manipulate Python strings
 by slicing, so they share no code path with the packed-integer arithmetic
 under test.  ``ref_candidates`` is the candidate enumeration by memory: a
 set of the vertex sets emitted so far.  ``ref_table`` derives the oracle's
-sweep table from ``Star`` objects, one footprint per star and one reach
-call per footprint pair.  ``fails_fast_test`` works the module checker's
-fast test out from its ``reach`` masks.  Tests derive expected values from
+sweep table from ``Star`` objects, one footprint per star, and its weak
+candidates from ``smallest_component``, a census of the module template.
+``fails_fast_test`` works the module checker's fast test out from its
+``reach`` masks.  Tests derive expected values from
 these helpers (or freeze values computed by them) and compare against the
 fast implementation.
 """
@@ -14,6 +15,7 @@ fast implementation.
 import itertools
 from types import SimpleNamespace
 
+from fdsc.graph import components_after_removal
 from fdsc.modcheck import footprint
 
 
@@ -81,13 +83,24 @@ def _bits_below(values, bound):
     return sum(1 << k for k, v in enumerate(values) if v < bound)
 
 
+def smallest_component(checker, inner):
+    """Labels in the smallest component of the checker's template once the
+    inner labels of ``inner`` are removed, by a plain census; 0 when none
+    is left."""
+    removed = [x for x in range(checker.module_count) if inner >> x & 1]
+    sizes = components_after_removal(checker.template, removed).component_sizes
+    return sizes[-1] if sizes else 0
+
+
 def ref_table(stars, dim, checker, budget, kappa):
     """What the oracle's sweep table holds for ``stars``: ``footprints`` (one
     dict per star, by ``modcheck.footprint``), ``sizes`` and, when some
     level up to ``budget`` is not wholly pruned and there is a ``checker``,
-    the bitsets ``smaller``, ``weak`` and ``touches`` (bit k for star k),
-    with each star's weakest reach from one ``reach`` call per footprint
-    pair.  The bitset attributes are None where the table builds none."""
+    the bitsets ``smaller``, ``weak`` and ``touches`` (bit k for star k).
+    ``weak[w]`` holds the stars some component of which, in a module they
+    touch, has at most w + (the number of modules they touch) labels, by
+    ``smallest_component``.  The bitset attributes are None where the table
+    builds none."""
     footprints = [footprint(s.vertices, dim) for s in stars]
     sizes = [sum(inner.bit_count() for inner in fp.values()) for fp in footprints]
     out = SimpleNamespace(footprints=footprints, sizes=sizes, smaller=None, weak=None, touches=None)
@@ -95,15 +108,15 @@ def ref_table(stars, dim, checker, budget, kappa):
         return out
     widest = max(map(len, footprints), default=0)
     weak_cap = min((budget - 1) * widest, checker.module_count)
-    weakest = []
+    least = {}  # removed inner mask -> its smallest component
+    margins = []
     for fp in footprints:
-        modules = sum(1 << b for b in fp)
-        counts = [
-            (r & ~modules).bit_count() for b, inner in fp.items() for r in checker.reach(b, inner)
-        ]
-        weakest.append(min(counts) if counts else 0)
+        for inner in fp.values():
+            if inner not in least:
+                least[inner] = smallest_component(checker, inner)
+        margins.append(min(least[inner] for inner in fp.values()) - len(fp))
     out.smaller = [_bits_below(sizes, s) for s in range(max(sizes, default=0) + 2)]
-    out.weak = [_bits_below(weakest, w + 1) for w in range(weak_cap + 1)]
+    out.weak = [_bits_below(margins, w + 1) for w in range(weak_cap + 1)]
     out.touches = [
         sum(1 << k for k, fp in enumerate(footprints) if b in fp)
         for b in range(checker.module_count)

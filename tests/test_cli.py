@@ -254,6 +254,24 @@ class TestVerify:
         assert out == ""
         assert "malformed family JSON" in err and "'leafs'" in err
 
+    @pytest.mark.parametrize(
+        "element",
+        [
+            {"center": ["0", "0", "0", "0"], "leaves": [["0", "0", "0", "1"]]},
+            {"center": ["0", "0", "0", "0"], "leaves": [["0", "1", "0", "0"]]},
+        ],
+        ids=["not-adjacent", "adjacent"],
+    )
+    def test_label_lists_exit_2(self, capsys, tmp_path, element):
+        # lists of digits are not labels: refused whether the family they
+        # spell is valid (0000-0100) or not (0000-0001)
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps({"mode": "substructure", "m": 1, "elements": [element]}))
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--family", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed family JSON" in err and "is not a string" in err
+
     @pytest.mark.parametrize("raw", [b'{"mode": ', b"\xff\xfe"], ids=["truncated", "not-utf8"])
     def test_unreadable_family_exits_2(self, capsys, tmp_path, raw):
         path = tmp_path / "bad.json"

@@ -273,7 +273,15 @@ class TestJson:
             family_from_json({"mode": "structure"}, D2)
         with pytest.raises(ParameterError):
             family_from_json({"mode": "weird", "m": 1, "elements": []}, D2)
-        for elements in ([{"leaves": []}], [7], [{"center": 1011}], None):
+        for elements in (
+            [{"leaves": []}],
+            [7],
+            [{"center": 1011}],
+            None,
+            # a list of digits used to parse as the label it spells
+            [{"center": ["0", "0", "0", "0"], "leaves": [["0", "0", "0", "1"]]}],
+            [{"center": "0000", "leaves": [["0", "0", "0", "1"]]}],
+        ):
             with pytest.raises(ParameterError, match="malformed family JSON"):
                 family_from_json({"mode": "structure", "m": 0, "elements": elements}, D2)
         for m in (1.7, True, "2", None):

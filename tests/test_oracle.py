@@ -27,7 +27,7 @@ from fdsc import (
 from fdsc.cuts import STRUCTURE, SUBSTRUCTURE, Star, star
 from fdsc.graph import components_after_removal
 from fdsc.oracle import _candidate_keys, _Keys, _members, _sweep, _SweepTable
-from refimpl import fails_fast_test, ref_candidates, ref_table
+from refimpl import fails_fast_test, ref_candidates, ref_table, smallest_component
 
 
 def _pairs(stars):
@@ -276,18 +276,20 @@ def _prefixes(footprints, t):
 # the number of ``components`` calls its table build makes, one per distinct
 # removed inner mask (0 where every level is wholly pruned and the table
 # keeps no checker), 1,144 in all; the number of candidates whose footprint
-# its sweep reads, 5,076 of 35,136 in all; and the number of
-# ``ModularChecker.connected`` queries its sweep makes, 267 in all
+# its sweep reads, 5,076 of 35,136 in all; the number of
+# ``ModularChecker.connected`` queries its sweep makes, 267 in all; and the
+# number of ``ModularChecker.reaches_core`` calls, from ``_SweepTable.visit``
+# and from ``connected``, 40,266 in all
 TABLE_CALLS = {
-    (1, SUBSTRUCTURE, 2): (0, 0, 0),
-    (2, STRUCTURE, 2): (112, 368, 7),
-    (3, STRUCTURE, 2): (132, 464, 25),
-    (4, STRUCTURE, 2): (84, 272, 7),
-    (2, SUBSTRUCTURE, 2): (112, 494, 9),
-    (3, SUBSTRUCTURE, 2): (164, 958, 57),
-    (4, SUBSTRUCTURE, 2): (180, 1230, 81),
-    (5, SUBSTRUCTURE, 2): (180, 1290, 81),
-    (5, SUBSTRUCTURE, 1): (180, 0, 0),
+    (1, SUBSTRUCTURE, 2): (0, 0, 0, 0),
+    (2, STRUCTURE, 2): (112, 368, 7, 2_294),
+    (3, STRUCTURE, 2): (132, 464, 25, 1_910),
+    (4, STRUCTURE, 2): (84, 272, 7, 548),
+    (2, SUBSTRUCTURE, 2): (112, 494, 9, 3_739),
+    (3, SUBSTRUCTURE, 2): (164, 958, 57, 8_460),
+    (4, SUBSTRUCTURE, 2): (180, 1230, 81, 11_341),
+    (5, SUBSTRUCTURE, 2): (180, 1290, 81, 11_974),
+    (5, SUBSTRUCTURE, 1): (180, 0, 0, 0),
 }
 
 
@@ -310,12 +312,12 @@ class TestSweep:
         # strided slices of at most 40 candidates, every pattern order and
         # mode, t = 1..3, from all candidates or from those centered on one
         # closed neighborhood (where cuts are found): the sweep with the
-        # checker (bulk split and overlap route) and the census-only route
+        # checker (bulk split, then ``visit``) and the census-only route
         # give the same hit, examined and pruned, and so does the sweep on a
         # table built for budget 3, whose extra ``weak`` and ``touches`` rows
         # no level below 3 reads, and on one built for budget 10^5, whose
         # ``weak`` rows stop at the module count; the three tables split
-        # every prefix and route its overlapping extensions alike.  A table
+        # every prefix and visit its held and routed extensions alike.  A table
         # whose levels are all pruned has no split.  Every table matches
         # ``ref_table`` (in ``_table``)
         pools, hits = {}, []
@@ -349,14 +351,14 @@ class TestSweep:
                 assert len(huge.weak) <= huge.checker.module_count + 1
             for _, merged, size, start in _prefixes(_footprints(table), t):
                 splits = [x.split(merged, size, start, 5) for x in checked]
-                routes = [x.overlap(merged, size, splits[0][2], 5) for x in checked]
+                visits = [list(x.visit(merged, size, *splits[0][1:], 5)) for x in checked]
                 assert all(got == splits[0] for got in splits)
-                assert all(got == routes[0] for got in routes)
+                assert all(got == visits[0] for got in visits)
                 if splits:  # no extension counted twice, none outside the window
-                    pruned, slow, route = splits[0]
-                    assert not (pruned & slow or pruned & route or slow & route)
+                    pruned, held, route = splits[0]
+                    assert not (pruned & held or pruned & route or held & route)
                     window = ((1 << len(cands)) - 1) >> start << start
-                    assert (pruned | slow | route) & ~window == 0
+                    assert (pruned | held | route) & ~window == 0
             result = _sweep(_table(fdsc8, cands, t, use_modular=False), t, 5)
             assert _sweep(table, t, 5) == _sweep(wide, t, 5) == _sweep(huge, t, 5) == result
             hits.append(result[0] is not None)
@@ -382,9 +384,9 @@ class TestSweep:
         # the table built from the keys equals the one derived from the
         # seen-set reference's stars.  Its build asks ``components`` once
         # per distinct removed inner mask, 1,144 calls over the nine calls,
-        # and ``reach`` never: every component of these candidates is too
-        # large for a weak reach (the build this replaced called ``reach``
-        # once per distinct footprint pair, 18,304 times)
+        # and ``reach`` never: ``weak`` reads component sizes alone (a
+        # build before the size bound called ``reach`` once per distinct
+        # footprint pair, 18,304 times)
         checker = modcheck.SurvivorCheck(fdsc8).checker
         calls = {"reach": 0, "components": 0}
         for name in calls:
@@ -427,9 +429,9 @@ class TestSweep:
         # 5,076 of the nine calls' 35,136 candidates.  The budget-2
         # K_{1,1}-substructure call prunes both levels wholly and the
         # budget-1 K_{1,5}-substructure call proves its one level in bulk,
-        # so neither derives any.  The overlap route reads the kept
-        # footprints without the ``footprint`` method, so the sweep's reads
-        # through it are a subset of those derived
+        # so neither derives any.  ``visit`` reads the kept footprints
+        # without the ``footprint`` method, so the sweep's reads through it
+        # are a subset of those derived
         read, derived = [], []
         real_read, real_derive = _SweepTable.footprint, _SweepTable._derive
 
@@ -443,34 +445,40 @@ class TestSweep:
 
         monkeypatch.setattr(_SweepTable, "footprint", reading)
         monkeypatch.setattr(_SweepTable, "_derive", deriving)
-        for (m, mode, budget), (_, reads, _) in TABLE_CALLS.items():
+        for (m, mode, budget), (_, reads, _, _) in TABLE_CALLS.items():
             read.clear(), derived.clear()
             exact_structure_connectivity(fdsc8, m, mode, budget)
             assert len(derived) == len(set(derived)) == reads, (m, mode, budget)
             assert set(read) <= set(derived)
-        assert sum(reads for _, reads, _ in TABLE_CALLS.values()) == 5076
+        assert sum(reads for _, reads, _, _ in TABLE_CALLS.values()) == 5076
 
     def test_checker_queries_per_call(self, fdsc8, monkeypatch):
         # the sweep asks ``connected`` only about the subsets that neither
-        # the bulk split nor the overlap route decides: 267 over the nine
-        # calls, against 39,202 with every overlapping extension queried
-        # and 927 with those that share two or more modules queried.
-        # Examined and pruned are those of the parent sweep
-        calls = []
-        real = modcheck.ModularChecker.connected
+        # the bulk split nor ``visit`` decides: 267 over the nine calls,
+        # against 39,202 with every overlapping extension queried and 927
+        # with those that share two or more modules queried.
+        # ``reaches_core``, which ``visit`` asks of the shared modules of
+        # each routed extension up to the hit and ``connected`` of each
+        # touched module, is called 40,266 times, against 43,244 when every
+        # routed extension of the hit's prefix was asked.  Examined and
+        # pruned are those of the parent sweep
+        calls = {"connected": 0, "reaches_core": 0}
+        for name in calls:
+            real = getattr(modcheck.ModularChecker, name)
 
-        def counting(self, touched):
-            calls.append(len(touched))
-            return real(self, touched)
+            def counting(self, *args, name=name, real=real):
+                calls[name] += 1
+                return real(self, *args)
 
-        monkeypatch.setattr(modcheck.ModularChecker, "connected", counting)
+            monkeypatch.setattr(modcheck.ModularChecker, name, counting)
         counts = []
-        for (m, mode, budget), (_, _, queries) in TABLE_CALLS.items():
-            calls.clear()
+        for (m, mode, budget), (_, _, queries, tests) in TABLE_CALLS.items():
+            calls.update(connected=0, reaches_core=0)
             result = exact_structure_connectivity(fdsc8, m, mode, budget)
-            assert len(calls) == queries, (m, mode, budget)
+            assert calls == {"connected": queries, "reaches_core": tests}, (m, mode, budget)
             counts.append((result.examined, result.pruned))
-        assert sum(queries for _, _, queries in TABLE_CALLS.values()) == 267
+        assert sum(queries for _, _, queries, _ in TABLE_CALLS.values()) == 267
+        assert sum(tests for _, _, _, tests in TABLE_CALLS.values()) == 40_266
         assert counts == [
             (401_856, 401_856),
             (21_191, 2_143),
@@ -502,8 +510,8 @@ class TestSweep:
     def test_closed_neighborhoods_t3(self, fdsc8, monkeypatch):
         # no three closed neighborhoods (K_{1,5} stars) disconnect FDSC_8;
         # every triple reaches kappa = 5, so none is pruned, and the bulk
-        # split and the overlap route prove every one: the checker is never
-        # asked (90,268 times while only one shared module was routed)
+        # split and ``visit`` prove every one: the checker is never asked
+        # (90,268 times while only one shared module was routed)
         calls = []
         real = modcheck.ModularChecker.connected
 
@@ -592,8 +600,8 @@ class TestTable:
                     if b in t:
                         assert (r & ~sum(1 << x for x in t)).bit_count() >= need - size
         # a whole module removed leaves no component and no reach mask: the
-        # table sends such a pair to the exact route, which counts a
-        # candidate with no component at all as weakest reach 0
+        # table counts such a pair's smallest component as 0 labels, so the
+        # candidate is in every ``weak`` row
         # (``TestBulkSplit.test_all_modules_touched``)
         whole = (1 << checker.module_count) - 1
         assert checker.components(whole) == ()
@@ -603,12 +611,12 @@ class TestTable:
         # keys whose rows hold leaves in two other modules, so a candidate
         # touches three modules, in no particular order and with center 21
         # heading two runs.  Removing inner labels 3, 4, 7, 8, 11 and 12 of
-        # module 0 cuts off the component {0, 15}, whose reach, module 15,
-        # lies in the candidate's own module set when it also touches
-        # module 15: weakest reach 0.  ``tight`` meets the size bound with
-        # equality (smallest component 2 = weak_cap 0 + |T_i| 2 at budget 1);
-        # ``bare`` removes all of module 0, so only its two single-label
-        # pairs in modules 3 and 7 have components
+        # module 0 cuts off the component {0, 15} of 2 labels, at most
+        # 0 + |T_i| for ``wide`` (3 modules) and, with equality, for
+        # ``tight`` (2 modules), so both are weak at w = 0.  ``bare``
+        # removes all of module 0, which keeps no component, so it is weak
+        # too, although the components of its pairs in modules 3 and 7 all
+        # reach outside its modules: ``weak`` marks by the size bound alone
         cut = [48, 64, 112, 128, 176, 192]
         wide = star(21, [*cut, 31])
         tight = star(48, [*cut[1:], 31])
@@ -618,11 +626,38 @@ class TestTable:
         for budget in (1, 2, 3):
             table = _table(fdsc8, keys, budget)
             assert table.widest == 3
-            assert [k for k in range(len(keys)) if table.weak[0] >> k & 1] == [1, 4]
+            assert [k for k in range(len(keys)) if table.weak[0] >> k & 1] == [1, 2, 4]
             plain = _table(fdsc8, keys, budget, use_modular=False)
             for t in range(1, budget + 1):
                 assert _sweep(table, t, 5) == _sweep(plain, t, 5)
         assert [b for b in range(16) if table.touches[b] >> 2 & 1] == [0, 3, 7]
+
+    @pytest.mark.parametrize(
+        "m,mode,budget", [*TABLE_CALLS, (5, STRUCTURE, 3), (1, SUBSTRUCTURE, 3)]
+    )
+    def test_no_real_candidate_is_weak(self, m, mode, budget, fdsc8):
+        # the tables of the nine calls, of the t = 3 K_{1,5}-structure pin
+        # and of the budget-3 K_{1,1}-substructure sweep: every component of
+        # every candidate has more than weak_cap + |T_i| labels, so the
+        # size bound holds back no candidate, and neither could an exact
+        # weakest reach, which is never smaller (``weak`` holds the
+        # candidates some component of which is small)
+        checker = modcheck.SurvivorCheck(fdsc8).checker
+        table = _SweepTable(_candidate_keys(fdsc8, m, mode), fdsc8, checker, budget, 5)
+        if (m, mode, budget) == (1, SUBSTRUCTURE, 2):
+            assert table.checker is None  # both levels wholly pruned: no bitset
+        else:
+            assert table.weak and not any(table.weak)
+
+    @pytest.mark.slow
+    def test_no_real_candidate_is_weak_n16(self, fdsc16):
+        # the K_{1,2}-structure table of FDSC_16 at budget 2 (851,968
+        # candidates, kappa 6)
+        checker = modcheck.SurvivorCheck(fdsc16).checker
+        keys = _candidate_keys(fdsc16, 2, STRUCTURE)
+        table = _SweepTable(keys, fdsc16, checker, 2, checker.kappa_lower_bound)
+        assert (len(keys), len(table.weak)) == (851_968, 3)
+        assert not any(table.weak)
 
     @pytest.mark.slow
     def test_n16_substructure_call_under_500_mb(self):
@@ -660,12 +695,15 @@ class TestTable:
 
 
 def _slow_reasons(checker, footprints, prefix, i):
-    """Why extension i of ``prefix`` must go to the per-subset route, worked
-    out per candidate with sets: an empty set means that ``connected``
-    proves the subset when i shares no module with the prefix, and that the
-    overlap route takes i when it shares some.  A shared module's own
-    components are the union's, which the route tests, so no reason is read
-    from the prefix's components there."""
+    """Why extension i of ``prefix`` is held for the checker, worked out
+    per candidate with sets: an empty set means that ``connected`` proves
+    the subset when i shares no module with the prefix, and that
+    ``_SweepTable.visit`` tests only the shared modules when it shares
+    some.  A shared module's own components are the union's, which
+    ``visit`` tests, so no reason is read from the prefix's components
+    there.  "weak" is the size bound: some component of i's own has at most
+    |T_P| + |T_i| labels, by ``smallest_component``; a candidate that
+    leaves a touched module no component is weak."""
     merged = {}
     for k in prefix:
         for b, inner in footprints[k]:
@@ -676,13 +714,8 @@ def _slow_reasons(checker, footprints, prefix, i):
     reasons = set()
     if (prefix_modules | own_modules).bit_count() >= checker.module_count:
         reasons.add("wide")
-    # a candidate with no component left counts as weak
-    counts = [
-        (r & ~own_modules).bit_count()
-        for b, inner in footprints[i]
-        for r in checker.reach(b, inner)
-    ]
-    if min(counts, default=0) <= len(merged):
+    smallest = min(smallest_component(checker, inner) for _, inner in footprints[i])
+    if smallest <= len(merged) + len(footprints[i]):
         reasons.add("weak")
     for b, removed in merged.items():
         if shared >> b & 1:
@@ -696,72 +729,86 @@ def _slow_reasons(checker, footprints, prefix, i):
     return reasons
 
 
-def _route_agrees(table, prefix, merged, size, route, kappa):
-    """Check ``_SweepTable.overlap`` on each extension i of ``split``'s
-    ``route`` bitset: i shares some module with the prefix; the route's
-    union size is the recount of the labels (i is kept at kappa = the
-    recount and pruned at the recount + 1, asked of the extensions of one
-    recount at once); i is pruned iff that is below ``kappa``; otherwise
-    the route proves i iff ``connected``'s fast test passes on the merged
-    footprint (some module untouched, and no ``fails_fast_test``), and then
-    ``connected`` answers True.  Returns i -> "pruned", "proven" or "sent"."""
+def _visit_agrees(table, prefix, merged, size, held, route, kappa):
+    """Check ``_SweepTable.visit`` on ``split``'s ``held`` and ``route``
+    bitsets: it yields ascending, only members of ``held | route``, each at
+    most once; every member of ``route`` shares some module with the
+    prefix; the pass's union size is the recount of the labels (no
+    extension is pruned at kappa = the recount, every one at the recount +
+    1, asked of the extensions of one recount at once); an extension is
+    yielded as pruned iff that is below ``kappa``; otherwise it is yielded
+    with the recount's merged footprint, unless it is in ``route`` and
+    ``connected``'s fast test passes on that footprint (some module
+    untouched, and no ``fails_fast_test``), and then ``connected`` answers
+    True.  A member of ``held`` is never proven.  Returns i -> "pruned",
+    "proven" or "sent"."""
     checker, keys = table.checker, table.keys
-    pruned, sent = map(set, table.overlap(merged, size, route, kappa))
-    held = {v for k in prefix for v in keys.vertices(k)}
+    got = list(table.visit(merged, size, held, route, kappa))
+    order = [i for i, _ in got]
+    assert order == sorted(set(order)) and all((held | route) >> i & 1 for i in order)
+    yielded = dict(got)
+    removed = {v for k in prefix for v in keys.vertices(k)}
     by_union = {}  # recount -> bitset of the extensions
     outcomes = {}
-    for i in _members(route):
+    for i in _members(held | route):
         fp = table.footprint(i)
-        assert set(merged) & {c for c, _ in fp}
-        union = len(held.union(keys.vertices(i)))
+        if route >> i & 1:
+            assert set(merged) & {c for c, _ in fp}
+        union = len(removed.union(keys.vertices(i)))
         by_union[union] = by_union.get(union, 0) | 1 << i
-        assert (i in pruned) == (union < kappa)
-        if i in pruned:
+        if union < kappa:
+            assert i in yielded and yielded[i] is None, (prefix, i)
             outcomes[i] = "pruned"
             continue
         touched = dict(merged)
         for c, inner in fp:
             touched[c] = touched.get(c, 0) | inner
         fast = len(touched) < checker.module_count and not fails_fast_test(checker, touched)
-        assert (i not in sent) == fast, (prefix, i)
-        if fast:
+        if route >> i & 1 and fast:
+            assert i not in yielded, (prefix, i)
             assert checker.connected(touched) is True
-        outcomes[i] = "proven" if fast else "sent"
+            outcomes[i] = "proven"
+        else:
+            assert i in yielded and yielded[i] == touched, (prefix, i)
+            outcomes[i] = "sent"
     for union, bits in by_union.items():
-        assert table.overlap(merged, size, bits, union)[0] == []
-        assert table.overlap(merged, size, bits, union + 1)[0] == list(_members(bits))
+        kept = table.visit(merged, size, bits & held, bits & route, union)
+        assert all(fp is not None for _, fp in kept)
+        pruned = table.visit(merged, size, bits & held, bits & route, union + 1)
+        assert [i for i, fp in pruned if fp is None] == list(_members(bits))
     return outcomes
 
 
 class TestOverlapRoute:
-    """The overlap route against a recount and ``connected`` on the FDSC_8
-    tables (``_route_agrees`` checks each extension it takes)."""
+    """``_SweepTable.visit``, the pass that settles the extensions the bulk
+    split holds or routes, against a recount and ``connected`` on the
+    FDSC_8 tables (``_visit_agrees`` checks each extension it settles)."""
 
     @staticmethod
     def agree(fdsc8, keys, t, every=1):
-        """Run ``_route_agrees`` on every ``every``-th (t-1)-prefix of
+        """Run ``_visit_agrees`` on every ``every``-th (t-1)-prefix of
         ``keys``, on the table built for budget t; return the numbers of
-        extensions the route pruned and proved."""
+        extensions the pass pruned, proved and sent."""
         table = _table(fdsc8, keys, t)
         decided = {"pruned": 0, "proven": 0, "sent": 0}
         prefixes = itertools.islice(_prefixes(_footprints(table), t), 0, None, every)
         for prefix, merged, size, start in prefixes:
-            _, _, route = table.split(merged, size, start, 5)
-            for got in _route_agrees(table, prefix, merged, size, route, 5).values():
+            _, held, route = table.split(merged, size, start, 5)
+            for got in _visit_agrees(table, prefix, merged, size, held, route, 5).values():
                 decided[got] += 1
-        return decided["pruned"], decided["proven"]
+        return decided["pruned"], decided["proven"], decided["sent"]
 
     @pytest.mark.parametrize("m,mode,every", [(2, STRUCTURE, 7), (5, SUBSTRUCTURE, 97)])
     def test_t2_prefixes_sampled(self, m, mode, every, fdsc8):
-        pruned, proven = self.agree(fdsc8, _candidate_keys(fdsc8, m, mode), 2, every)
-        assert pruned > 0 and proven > 0
+        pruned, proven, sent = self.agree(fdsc8, _candidate_keys(fdsc8, m, mode), 2, every)
+        assert pruned > 0 and proven > 0 and sent > 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("m,mode", [(2, STRUCTURE), (5, SUBSTRUCTURE)])
     def test_every_t2_prefix(self, m, mode, fdsc8):
         # every prefix of the budget-2 tables, not only those before the hit
-        pruned, proven = self.agree(fdsc8, _candidate_keys(fdsc8, m, mode), 2)
-        assert pruned > 0 and proven > 0
+        pruned, proven, sent = self.agree(fdsc8, _candidate_keys(fdsc8, m, mode), 2)
+        assert pruned > 0 and proven > 0 and sent > 0
 
     def test_t3_prefixes(self, fdsc8):
         # the K_{1,2}-structure candidates centered on the closed
@@ -770,68 +817,68 @@ class TestOverlapRoute:
         keys = _candidate_keys(fdsc8, 2, STRUCTURE)
         ball = {149, *fdsc8.adj[149]}
         cands = _pick(keys, [k for k in range(len(keys)) if keys.centers[k] in ball])
-        pruned, proven = self.agree(fdsc8, cands, 3)
-        assert pruned > 0 and proven > 0
+        pruned, proven, sent = self.agree(fdsc8, cands, 3)
+        assert pruned > 0 and proven > 0 and sent > 0
 
 
 class TestBulkSplit:
-    """Each reason that sends an extension to the per-subset route, and
-    each case of the overlap route, on hand-picked FDSC_8 families (label
-    (x << 4) | b is inner label x of module b; a family member is any vertex
-    set, written as a star, since the sweep reads only its vertices).
-    Removing inner labels 0, 3, 7 and 11 of module 0 isolates its inner
-    label 15, whose cross edge leads to (0, 15), label 15, in module 15; so
-    with label 15 removed too, label 240 is cut off."""
+    """Each reason that holds an extension for the checker, and each case of
+    the pass over the held and routed extensions, on hand-picked FDSC_8
+    families (label (x << 4) | b is inner label x of module b; a family
+    member is any vertex set, written as a star, since the sweep reads only
+    its vertices).  Removing inner labels 0, 3, 7 and 11 of module 0
+    isolates its inner label 15, whose cross edge leads to (0, 15), label
+    15, in module 15; so with label 15 removed too, label 240 is cut off."""
 
     KAPPA = 5
 
     def split_agrees(self, fdsc8, cands, t):
         """Compare the split with ``_slow_reasons`` for every prefix and
         extension, on a table built for budget t and on one built for budget
-        3, and check the overlap route on the extensions it takes
-        (``_route_agrees``); compare the sweep on both tables with the
-        census-only route.  Returns the reasons met and the route's outcome
-        for each extension it takes, both by (prefix, extension), and the
+        3, and check ``visit`` on the extensions held or routed
+        (``_visit_agrees``); compare the sweep on both tables with the
+        census-only route.  Returns the reasons met and the outcome of each
+        extension ``visit`` settles, both by (prefix, extension), and the
         sweep's result."""
         keys = _keys_of(cands)
         table, wide = _table(fdsc8, keys, t), _table(fdsc8, keys, 3)
         checker, footprints = table.checker, _footprints(table)
-        met, routed = {}, {}
+        met, settled = {}, {}
         for prefix, merged, size, start in _prefixes(footprints, t):
-            pruned, slow, route = table.split(merged, size, start, self.KAPPA)
-            assert wide.split(merged, size, start, self.KAPPA) == (pruned, slow, route)
-            outcomes = _route_agrees(table, prefix, merged, size, route, self.KAPPA)
+            pruned, held, route = table.split(merged, size, start, self.KAPPA)
+            assert wide.split(merged, size, start, self.KAPPA) == (pruned, held, route)
+            outcomes = _visit_agrees(table, prefix, merged, size, held, route, self.KAPPA)
             for i in range(start, len(cands)):
                 reasons = _slow_reasons(checker, footprints, prefix, i)
                 common = set(merged) & {b for b, _ in footprints[i]}
                 small = not common and size + len(cands[i].vertices) < self.KAPPA
-                assert (pruned >> i & 1, slow >> i & 1, route >> i & 1) == (
+                assert (pruned >> i & 1, held >> i & 1, route >> i & 1) == (
                     small,
                     bool(reasons) and not small,
                     bool(common) and not reasons,
                 )
                 met[prefix, i] = reasons
                 if i in outcomes:
-                    routed[prefix, i] = outcomes[i]
+                    settled[prefix, i] = outcomes[i]
         hit = _sweep(table, t, self.KAPPA)
         assert hit == _sweep(wide, t, self.KAPPA)
         assert hit == _sweep(_table(fdsc8, keys, t, use_modular=False), t, self.KAPPA)
-        return met, routed, hit
+        return met, settled, hit
 
     def test_shared_module(self, fdsc8):
-        # the two stars share module 0 alone: the overlap route proves them
-        met, routed, hit = self.split_agrees(
+        # the two stars share module 0 alone: ``visit`` proves them
+        met, settled, hit = self.split_agrees(
             fdsc8, [star(0x10, [0x50]), star(0x20, [0x60, 0x70])], 2
         )
-        assert met[(0,), 1] == set() and routed == {((0,), 1): "proven"}
+        assert met[(0,), 1] == set() and settled == {((0,), 1): "proven"}
         assert hit == (None, 1, 0)
 
     def test_two_shared_modules(self, fdsc8):
-        # the two stars share modules 0 and 1: the overlap route proves them
-        met, routed, hit = self.split_agrees(
+        # the two stars share modules 0 and 1: ``visit`` proves them
+        met, settled, hit = self.split_agrees(
             fdsc8, [star(0x10, [0x51]), star(0x20, [0x30, 0x61])], 2
         )
-        assert met[(0,), 1] == set() and routed == {((0,), 1): "proven"}
+        assert met[(0,), 1] == set() and settled == {((0,), 1): "proven"}
         assert hit == (None, 1, 0)
 
     def test_second_shared_module_fails(self, fdsc8):
@@ -839,21 +886,21 @@ class TestBulkSplit:
         # 0, 3, 7 and 11 of module 5, which isolates its inner label 15,
         # whose partner, label 0x5F in module 15, the extension removes.
         # Module 2, first in the extension's footprint and the lower, passes;
-        # module 5 fails, so the route leaves it to the checker and the
+        # module 5 fails, so ``visit`` sends it to the checker and the
         # census finds the cut
         cands = [star(0x12, [0x05, 0x35]), star(0x22, [0x75, 0xB5, 0x5F])]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert met[(0,), 1] == set() and routed == {((0,), 1): "sent"}
+        met, settled, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == set() and settled == {((0,), 1): "sent"}
         assert hit == ((0, 1), 1, 0)
 
     def test_prune_on_two_overlaps(self, fdsc8):
         # the stars meet in label 0x10 of module 0 and label 0x01 of module
         # 1: their union has 3 + 3 - 2 = 4 labels, below kappa, and only
         # with both overlaps subtracted
-        met, routed, hit = self.split_agrees(
+        met, settled, hit = self.split_agrees(
             fdsc8, [star(0x10, [0x01, 0x20]), star(0x01, [0x10, 0x30])], 2
         )
-        assert met[(0,), 1] == set() and routed == {((0,), 1): "pruned"}
+        assert met[(0,), 1] == set() and settled == {((0,), 1): "pruned"}
         assert hit == (None, 1, 1)
 
     def test_prefix_component_with_no_reach_left(self, fdsc8):
@@ -861,7 +908,7 @@ class TestBulkSplit:
         # 15 itself: the component has no reach outside the prefix, so no
         # disjoint extension is proven; label 15 completes the cut
         cands = [star(0, [255]), star(48, [112, 176]), star(0x21), star(0x52, [0x12]), star(15)]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 3)
+        met, settled, hit = self.split_agrees(fdsc8, cands, 3)
         assert met[(0, 1), 2] == met[(0, 1), 3] == {"no reach left"}
         assert met[(0, 1), 4] == {"no reach left"}
         assert hit[0] == (0, 1, 4)
@@ -870,52 +917,53 @@ class TestBulkSplit:
         # the same isolated inner label 15, whose reach, module 15, is
         # outside the prefix: it fails only for the extensions in module 15
         cands = [star(0, [64]), star(48, [112, 176]), star(0x21), star(0x1F), star(15)]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 3)
+        met, settled, hit = self.split_agrees(fdsc8, cands, 3)
         assert met[(0, 1), 2] == set()
         assert met[(0, 1), 3] == met[(0, 1), 4] == {"covered"}
         assert hit[0] == (0, 1, 4)
 
     def test_weak_candidate(self, fdsc8):
         # no star of FDSC_8 cuts its own module, so the weak extension is a
-        # vertex set: it isolates inner label 15 of module 0, a component
-        # that reaches module 15 only, so |R & ~T_i| = 1 is at most |T_P|
-        # for any prefix.  The last extension is pruned in bulk, after the
-        # hit: it is not counted
+        # vertex set: it isolates inner label 15 of module 0, a component of
+        # 1 label, at most |T_P| + |T_i| for any prefix.  The split holds it
+        # and ``visit`` sends it to the checker.  The last extension is
+        # pruned in bulk, after the hit: it is not counted
         cut_off = star(0, [48, 112, 176])
-        met, routed, hit = self.split_agrees(
+        met, settled, hit = self.split_agrees(
             fdsc8, [star(0x15), star(15), cut_off, star(0x26)], 2
         )
         assert met[(0,), 2] == met[(1,), 2] == {"weak"}
+        assert settled == {((0,), 2): "sent", ((1,), 2): "sent"}
         assert hit[0] == (1, 2)
 
     def test_overlap_with_a_weak_component_elsewhere(self, fdsc8):
         # the extension shares module 5 with the prefix and cuts off inner
         # label 15 of module 0, whose partner, label 15, the prefix removes:
-        # weak, so the route leaves it to the checker and the census finds
-        # the cut
+        # weak, so the split holds it, ``visit`` sends it to the checker
+        # and the census finds the cut
         cands = [star(15, [0x25]), star(0, [48, 112, 176, 0x15])]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert met[(0,), 1] == {"weak"} and not routed
+        met, settled, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == {"weak"} and settled == {((0,), 1): "sent"}
         assert hit == ((0, 1), 1, 0)
 
     def test_overlap_with_a_prefix_mask_elsewhere(self, fdsc8):
         # the prefix cuts off inner label 15 of module 0 and shares module 5
         # with the extension, which removes the partner, label 15: a prefix
-        # mask of module 0 fails on it, so the route leaves it to the
-        # checker and the census finds the cut
+        # mask of module 0 fails on it, so the split holds it, ``visit``
+        # sends it to the checker and the census finds the cut
         cands = [star(0, [48, 112, 176, 0x25]), star(15, [0x15])]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert met[(0,), 1] == {"covered"} and not routed
+        met, settled, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == {"covered"} and settled == {((0,), 1): "sent"}
         assert hit == ((0, 1), 1, 0)
 
     def test_prefix_mask_of_a_shared_module(self, fdsc8):
         # the prefix cuts off inner label 15 of module 0, whose reach,
         # module 15, the extension touches; but the extension shares module
         # 0 and removes that label itself, so module 0 is tested on the
-        # union, not on the prefix's mask: the route proves it
+        # union, not on the prefix's mask: ``visit`` proves it
         cands = [star(0, [48, 112, 176]), star(0xF0, [0x1F])]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert met[(0,), 1] == set() and routed == {((0,), 1): "proven"}
+        met, settled, hit = self.split_agrees(fdsc8, cands, 2)
+        assert met[(0,), 1] == set() and settled == {((0,), 1): "proven"}
         assert hit == (None, 1, 0)
 
     def test_overlap_through_the_apex_edge(self, fdsc8):
@@ -923,40 +971,51 @@ class TestBulkSplit:
         # labels 3 and 5, which are not adjacent, and each alone leaves
         # module 3 large components, so neither is weak.  The component {3} reaches
         # module ~3 = 0xC only, through the apex edge to (0xC, 0xC), label
-        # 0xCC: the route proves the union while module 0xC is untouched,
+        # 0xCC: ``visit`` proves the union while module 0xC is untouched,
         # and leaves it to the checker once the prefix removes label 0xCC,
         # where the census finds the cut
         half = [(x << 4) | 3 for x in (7, 9, 10, 11, 13, 14, 15)]
         rest = [(x << 4) | 3 for x in (0, 1, 2, 4, 6, 8, 12)]
         cands = [star(half[0], half[1:]), star(half[0], [*half[1:], 0xCC]), star(rest[0], rest[1:])]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert routed == {((0,), 1): "proven", ((0,), 2): "proven", ((1,), 2): "sent"}
+        met, settled, hit = self.split_agrees(fdsc8, cands, 2)
+        assert settled == {((0,), 1): "proven", ((0,), 2): "proven", ((1,), 2): "sent"}
         assert hit == ((1, 2), 3, 0)
 
     def test_route_prune_after_the_hit_is_not_counted(self, fdsc8):
         # the prefix cuts off inner label 15 of module 0, the second star
-        # completes the cut, and the third lies inside the prefix: the
-        # route prunes it, after the hit, so it is not counted
+        # completes the cut (held: a prefix mask fails on it), and the third
+        # lies inside the prefix: ``visit`` prunes it, after the hit, so it
+        # is not counted
         cands = [star(0, [48, 112, 176]), star(15), star(0)]
-        met, routed, hit = self.split_agrees(fdsc8, cands, 2)
-        assert routed == {((0,), 2): "pruned"}
+        met, settled, hit = self.split_agrees(fdsc8, cands, 2)
+        assert settled == {((0,), 1): "sent", ((0,), 2): "pruned"}
         assert hit == ((0, 1), 1, 0)
 
     def test_all_modules_touched(self, fdsc8):
         # a prefix on modules 1..15 and an extension in module 0 touch every
-        # module, so the checker abstains.  Then the extension is weak, or a
-        # prefix mask fails on it, whenever either keeps a component; here
-        # the prefix removes all of modules 1..15, and an extension that
-        # removes all of module 0 keeps no component and counts as weak,
-        # whether it shares module 1 with the prefix or no module: neither
-        # bulk nor the overlap route takes it.  (Only the pairs within
-        # modules 0 and 1, which miss every other module, are routed)
+        # module, so the checker abstains.  Then the extension is weak: a
+        # component of its own has fewer than 16 <= |T_P| + |T_i| labels,
+        # or it keeps none; here the prefix removes all of modules 1..15,
+        # and an extension that removes all of module 0 keeps no component,
+        # whether it shares module 1 with the prefix or no module.  The
+        # split holds it and ``visit`` sends it to the checker, as it does
+        # the weak extension that empties module 0 after the prefix that
+        # empties it too.  (Only the pairs within modules 0 and 1, which
+        # miss every other module, are proven)
         rest = star(1, [v for v in range(2, 256) if v & 15])
         whole_module = star(0, range(16, 256, 16))
         and_one = star(0, [*range(16, 256, 16), 1])
-        met, routed, hit = self.split_agrees(fdsc8, [rest, and_one, whole_module, star(0x20)], 2)
+        met, settled, hit = self.split_agrees(fdsc8, [rest, and_one, whole_module, star(0x20)], 2)
         assert met[(0,), 1] == met[(0,), 2] == met[(0,), 3] == {"wide", "weak"}
-        assert routed == {((1,), 3): "proven", ((2,), 3): "proven"}
+        assert met[(1,), 2] == {"weak"}
+        assert settled == {
+            ((0,), 1): "sent",
+            ((0,), 2): "sent",
+            ((0,), 3): "sent",
+            ((1,), 2): "sent",
+            ((1,), 3): "proven",
+            ((2,), 3): "proven",
+        }
         # nothing survives the first pair, which the census counts as cut
         assert hit == ((0, 1), 1, 0)
 
