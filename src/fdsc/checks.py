@@ -26,6 +26,7 @@ import itertools
 import operator
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
@@ -95,11 +96,12 @@ class CheckReport:
         }
 
 
-def _sample_values(limit: int, exhaustive_cap: int) -> tuple[list[int], bool]:
-    """All values below ``limit`` when small, else a fixed deterministic
-    sample (a low prefix plus seeded draws)."""
+def _sample_values(limit: int, exhaustive_cap: int) -> tuple[Sequence[int], bool]:
+    """``range(limit)`` itself when small (no list of the values is built),
+    else a fixed deterministic sample (a low prefix plus seeded draws),
+    ascending."""
     if limit <= exhaustive_cap:
-        return list(range(limit)), True
+        return range(limit), True
     rng = random.Random(_SAMPLE_SEED)
     picked = set(range(_SAMPLE_COUNT // 2))
     while len(picked) < _SAMPLE_COUNT:
@@ -107,13 +109,13 @@ def _sample_values(limit: int, exhaustive_cap: int) -> tuple[list[int], bool]:
     return sorted(picked), False
 
 
-def _labels_to_scan(dim: Dim) -> tuple[list[int], str]:
+def _labels_to_scan(dim: Dim) -> tuple[Sequence[int], str]:
     values, full = _sample_values(1 << dim.n, 1 << min(dim.n, MAX_BUILD_BITS))
     scope = "exhaustive" if full else f"sampled {len(values)} labels, seed {_SAMPLE_SEED}"
     return values, scope
 
 
-def _modules_to_scan(dim: Dim) -> tuple[list[int], str]:
+def _modules_to_scan(dim: Dim) -> tuple[Sequence[int], str]:
     values, full = _sample_values(1 << dim.half, 1 << min(dim.half, 8))
     scope = "exhaustive" if full else f"sampled {len(values)} modules, seed {_SAMPLE_SEED}"
     return values, scope
@@ -125,14 +127,17 @@ def _neighbor_table(dim: Dim) -> list[list[int]] | dict[int, list[int]]:
     neighbors of its labels.
 
     The full list's rows are exact-size and name each neighbor by the one
-    ``int`` that ``labels`` holds for it, so 2^n objects serve all
-    (d+2) 2^n entries (65,536 instead of 393,216 at n = 16).
+    ``int`` that a list of all 2^n labels holds for it, so 2^n objects
+    serve all (d+2) 2^n entries (65,536 instead of 393,216 at n = 16).
+    That list is the only one built: the scans iterate ``_labels_to_scan``'s
+    ``range``, which makes each ``int`` as it goes and keeps none.
     """
-    labels, _ = _labels_to_scan(dim)
     if dim.n <= MAX_BUILD_BITS:
+        labels = list(range(1 << dim.n))
         at = labels.__getitem__
         # labels[v] is v; a tuple has a length, so the list is allocated exactly
         return [list(tuple(map(at, neighbor_set(u, dim)))) for u in labels]
+    labels, _ = _labels_to_scan(dim)
     table = {u: neighbor_set(u, dim) for u in labels}
     for v in {v for row in table.values() for v in row} - table.keys():
         table[v] = neighbor_set(v, dim)

@@ -9,7 +9,9 @@ label-level operations only.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 
 from .errors import ParameterError, ResourceCapError
@@ -294,15 +296,59 @@ def girth(g: Graph) -> tuple[int, list[int]] | None:
     return best, witness
 
 
+class _PairCounts(Mapping):
+    """Read-only view of a flat cross-edge counter as the mapping (bi, bj)
+    -> multiplicity, bi < bj, over the module pairs joined by at least one
+    cross edge.  Entry (bi << half) | bj counts pair (bi, bj); iteration is
+    ascending in (bi, bj)."""
+
+    __slots__ = ("_counts", "_half", "_len")
+
+    def __init__(self, counts: array, half: int, length: int) -> None:
+        self._counts = counts
+        self._half = half
+        self._len = length
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        try:
+            bi, bj = key
+            if 0 <= bi < bj < 1 << self._half:
+                count = self._counts[(bi << self._half) | bj]
+                if count:
+                    return count
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        half, low = self._half, (1 << self._half) - 1
+        joined = itertools.compress(range(len(self._counts)), self._counts)
+        return ((index >> half, index & low) for index in joined)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def items(self) -> ItemsView[tuple[int, int], int]:
+        return _PairItems(self)
+
+
+class _PairItems(ItemsView):
+    """(pair, multiplicity) ascending, read off the counter in one pass
+    rather than by one lookup per pair."""
+
+    def __iter__(self):
+        return zip(self._mapping, filter(None, self._mapping._counts))
+
+
 @dataclass
 class QuotientCensus:
     """Result of contracting every module to a super vertex."""
 
     module_count: int
     pair_count: int  # unordered module pairs joined by >= 1 cross edge
-    min_multiplicity: int
+    min_multiplicity: int  # 0 when no pair is joined
     max_multiplicity: int
-    multiplicities: dict[tuple[int, int], int] = field(repr=False)
+    multiplicities: Mapping[tuple[int, int], int] = field(repr=False)
 
     def is_complete(self) -> bool:
         return self.pair_count == self.module_count * (self.module_count - 1) // 2
@@ -317,27 +363,37 @@ class QuotientCensus:
 
 
 def quotient_census(g: Graph) -> QuotientCensus:
-    """Count cross edges per unordered module pair (FDSC, n >= 4)."""
+    """Count cross edges per unordered module pair (FDSC, n >= 4).
+
+    Each edge that ``Graph.edges`` yields, (u, v) with u < v read from row
+    u, counts once when u and v lie in different modules, into one flat
+    counter with an entry per ordered address pair (2^n entries, about
+    256 KB at n = 16).  The counter is an unsigned 32-bit ``array``: it
+    holds any count an adjacency in memory can reach, and an ``array``
+    refuses a value out of range rather than wrap.  ``multiplicities`` is
+    a read-only mapping over it.  With no cross edge at all, every count
+    is 0.
+    """
     if g.variant != FDSC:
         raise ParameterError("quotient census is defined for the fdsc variant")
     if g.dim.n < 4:
         raise ParameterError("quotient census needs n >= 4")
-    dim = g.dim
-    mask = dim.module_mask
-    mult: dict[tuple[int, int], int] = {}
-    for u, v in g.edges():
-        bu, bv = u & mask, v & mask
-        if bu == bv:
-            continue
-        key = (bu, bv) if bu < bv else (bv, bu)
-        mult[key] = mult.get(key, 0) + 1
-    values = mult.values()
+    half, mask = g.dim.half, g.dim.module_mask
+    counts = array("I", [0]) * (1 << (2 * half))
+    for u, nbrs in enumerate(g.adj):
+        bu = u & mask
+        for v in nbrs:
+            if v > u:
+                bv = v & mask
+                if bv != bu:
+                    counts[(bu << half) | bv if bu < bv else (bv << half) | bu] += 1
+    pair_count = len(counts) - counts.count(0)
     return QuotientCensus(
-        module_count=1 << dim.half,
-        pair_count=len(mult),
-        min_multiplicity=min(values),
-        max_multiplicity=max(values),
-        multiplicities=mult,
+        module_count=1 << half,
+        pair_count=pair_count,
+        min_multiplicity=min(filter(None, counts), default=0),
+        max_multiplicity=max(counts),
+        multiplicities=_PairCounts(counts, half, pair_count),
     )
 
 

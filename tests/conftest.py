@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import fdsc.graph
@@ -52,3 +54,25 @@ def fresh_checkers():
     fdsc.modcheck.modular_checker.cache_clear()
     yield
     fdsc.modcheck.modular_checker.cache_clear()
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` runs ``fn()`` and returns the most bytes that
+    tracemalloc saw allocated during it beyond what was allocated before
+    it (memory of forked children is not seen)."""
+
+    def measure(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure

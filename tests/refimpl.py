@@ -7,7 +7,8 @@ set of the vertex sets emitted so far.  ``ref_table`` derives the oracle's
 sweep table from ``Star`` objects, one footprint per star, and its weak
 candidates from ``smallest_component``, a census of the module template.
 ``fails_fast_test`` works the module checker's fast test out from its
-``reach`` masks.  Tests derive expected values from
+``reach`` masks.  ``ref_quotient_census`` counts module pairs in a dict
+keyed by pair tuples, over ``Graph.edges``.  Tests derive expected values from
 these helpers (or freeze values computed by them) and compare against the
 fast implementation.
 """
@@ -158,3 +159,28 @@ def ref_label_symmetry(table, labels, d, fmt):
         return "pass", None
 
     return involutions(), symmetry()
+
+
+def ref_quotient_census(g):
+    """The module quotient of ``g`` counted over ``g.edges()`` into a dict
+    (bi, bj) -> cross edges, bi < bj: ``multiplicities``, ``pair_count``,
+    ``min_multiplicity``, ``max_multiplicity`` and ``complement_rule_holds``
+    (2 exactly at complementary addresses, else 1), as plain values."""
+    mask = g.dim.module_mask
+    mult = {}
+    for u, v in g.edges():
+        bu, bv = u & mask, v & mask
+        if bu == bv:
+            continue
+        key = (bu, bv) if bu < bv else (bv, bu)
+        mult[key] = mult.get(key, 0) + 1
+    values = mult.values()
+    return SimpleNamespace(
+        multiplicities=mult,
+        pair_count=len(mult),
+        min_multiplicity=min(values),
+        max_multiplicity=max(values),
+        complement_rule_holds=all(
+            m == (2 if bj == bi ^ mask else 1) for (bi, bj), m in mult.items()
+        ),
+    )

@@ -218,6 +218,13 @@ class TestGraphInvariants:
         assert results["complete-quotient"].status == SKIPPED
         assert results["girth"].status == PASS
 
+    def test_no_cross_edge_fails_instead_of_raising(self, fdsc4):
+        mask = D2.module_mask
+        adj = [[v for v in row if v & mask == u & mask] for u, row in enumerate(fdsc4.adj)]
+        results = by_name(check_graph_invariants(Graph(dim=D2, variant="fdsc", adj=adj)))
+        assert results["complete-quotient"].status == FAIL
+        assert results["complete-quotient"].detail == "only 0 module pairs joined of 6"
+
 
 def _fault(name, dim, b=0x5):
     """A neighbor function that is wrong at one vertex u of module b."""
@@ -528,6 +535,21 @@ class TestSharedLabels:
         table = checks._neighbor_table(make_dim(4))
         assert len({id(v) for row in table for v in row}) == 2**16
         assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in table)
+
+    def test_exhaustive_scans_iterate_a_range(self):
+        assert checks._labels_to_scan(make_dim(4)) == (range(2**16), "exhaustive")
+        assert checks._modules_to_scan(make_dim(4)) == (range(2**8), "exhaustive")
+        labels, scope = checks._labels_to_scan(make_dim(5))
+        assert isinstance(labels, list) and scope.startswith("sampled 256 labels")
+
+    def test_label_checks_peak_memory_at_d4(self, traced_peak):
+        # no second list of the 2^16 labels next to the table
+        dim = make_dim(4)
+        table = checks._neighbor_table(dim)
+        results = []
+        peak = traced_peak(lambda: results.extend(check_label_invariants(dim, table)))
+        assert peak < 500_000
+        assert all(c.status == PASS for c in results)
 
 
 def _folded_fault(us, dim):

@@ -2,7 +2,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdsc import (
@@ -23,7 +23,7 @@ from fdsc import (
 )
 from fdsc.graph import _min_vertex_cut_size, _split_network
 from fdsc.labels import neighbor_set
-from refimpl import all_labels, ref_neighbors
+from refimpl import all_labels, ref_neighbors, ref_quotient_census
 
 D2, D3 = make_dim(2), make_dim(3)
 
@@ -275,6 +275,89 @@ class TestQuotient:
     def test_needs_folded_variant(self, dsc8):
         with pytest.raises(ParameterError):
             quotient_census(dsc8)
+
+    def test_no_cross_edge_counts_no_pair(self, fdsc4):
+        mask = D2.module_mask
+        adj = [[v for v in row if v & mask == u & mask] for u, row in enumerate(fdsc4.adj)]
+        census = quotient_census(Graph(dim=D2, variant=FDSC, adj=adj))
+        assert (census.pair_count, census.min_multiplicity, census.max_multiplicity) == (0, 0, 0)
+        assert dict(census.multiplicities) == {}
+        assert not census.is_complete()
+
+    def test_multiplicities_are_a_read_only_mapping(self, fdsc8):
+        mult = quotient_census(fdsc8).multiplicities
+        assert len(mult) == 120 and list(mult) == sorted(mult)
+        assert mult[(0x0, 0xF)] == 2 and mult.get((0xF, 0x0)) is None
+        assert (0x3, 0x3) not in mult and (0x3, 0x10) not in mult and "03" not in mult
+        with pytest.raises(TypeError):
+            mult[(0x0, 0x1)] = 5
+
+    def test_peak_memory_n16(self, fdsc16, traced_peak):
+        # the counter (256 KB) and nothing per pair or per edge
+        assert traced_peak(lambda: quotient_census(fdsc16)) < 500_000
+
+
+def _census_agrees(g):
+    census = quotient_census(g)
+    ref = ref_quotient_census(g)
+    assert dict(census.multiplicities) == ref.multiplicities
+    assert dict(census.multiplicities.items()) == ref.multiplicities
+    assert census.pair_count == ref.pair_count
+    assert census.min_multiplicity == ref.min_multiplicity
+    assert census.max_multiplicity == ref.max_multiplicity
+    assert census.complement_rule_holds(g.dim) == ref.complement_rule_holds
+    return census
+
+
+class TestQuotientReference:
+    """The flat-counter census agrees with a tuple-keyed dict over
+    ``Graph.edges`` (``refimpl.ref_quotient_census``)."""
+
+    @pytest.mark.parametrize("name", ["fdsc4", "fdsc8", "fdsc16"])
+    def test_built_graphs(self, name, request):
+        assert _census_agrees(request.getfixturevalue(name)).is_complete()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 255),
+                st.integers(0, 255),
+                st.sampled_from(["add", "drop"]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example(edits=[(0x01, 0x10, "add", False)])  # one-way, read from its row
+    @example(edits=[(0x10, 0x01, "add", False)])  # one-way, in the higher row only
+    @example(edits=[(0x00, 0xFF, "add", True)])  # a complementary pair's third edge
+    @example(edits=[(0x10, 0x01, "drop", True)])  # the one edge between two modules
+    def test_cross_edge_edits_n8(self, edits, fdsc8):
+        mask = D3.module_mask
+        adj = [list(row) for row in fdsc8.adj]
+        for u, v, op, both in edits:
+            if v & mask == u & mask:
+                v ^= 1  # into another module
+            for a, b in ((u, v), (v, u)) if both else ((u, v),):
+                if op == "add":
+                    adj[a].append(b)  # a repeat when already there
+                else:
+                    adj[a] = [w for w in adj[a] if w != b]
+        _census_agrees(Graph(dim=D3, variant=FDSC, adj=adj))
+
+    def test_more_than_255_edges_between_two_modules(self):
+        dim = make_dim(4)
+        adj = [[] for _ in range(1 << dim.n)]
+        for x in range(1 << dim.half):
+            u, v = x << dim.half, (x << dim.half) | 1
+            adj[u].append(v)
+            adj[v].append(u)
+        adj[0] += [1] * 44  # one-way repeats: 300 edges from row 0 up
+        census = _census_agrees(Graph(dim=dim, variant=FDSC, adj=adj))
+        assert dict(census.multiplicities) == {(0, 1): 300}
+        assert not census.complement_rule_holds(dim)
 
 
 class TestCrossEdges:
